@@ -13,15 +13,8 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 
 from apnforge import UniPoly, create_field, diff_spectrum, ekp_admissible_u
-
-
-@dataclass(frozen=True)
-class ScanConfig:
-    sample: int | None = None  # None scans all 62
-    jobs: int = 1
 
 
 def main() -> int:
@@ -29,19 +22,18 @@ def main() -> int:
     ap.add_argument("--sample", type=int, default=None)
     ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args()
-    cfg = ScanConfig(sample=args.sample, jobs=args.jobs)
 
     ctx = create_field(10)
     us = ekp_admissible_u(ctx)
-    if cfg.sample:
-        step = max(1, len(us) // cfg.sample)
-        us = us[::step][: cfg.sample]
+    if args.sample:
+        step = max(1, len(us) // args.sample)
+        us = us[::step][: args.sample]
 
     failures = 0
     start = time.perf_counter()
     for u in us:
         f = UniPoly(ctx, {36: u, 3: 1})
-        uniformity = diff_spectrum(f, jobs=cfg.jobs).uniformity
+        uniformity = diff_spectrum(f, jobs=args.jobs).uniformity
         ok = uniformity == 2
         failures += not ok
         print(f"u=0x{u:03x}  uniformity={uniformity}  {'ok' if ok else 'NOT APN'}")

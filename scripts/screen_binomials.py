@@ -13,27 +13,18 @@ import argparse
 import csv
 import sys
 from collections import Counter
-from dataclasses import dataclass
 
 from apnforge import UniPoly, create_field, replay_trace, screen_exceptional
 
 
-@dataclass(frozen=True)
-class SurveyConfig:
-    n: int = 5
-    max_degree: int = 33
-    coefficients: tuple[int, ...] = (1,)
-    check_replay: bool = True
-
-
-def survey(cfg: SurveyConfig):
-    ctx = create_field(cfg.n)
-    for d in range(3, cfg.max_degree + 1):
+def survey(n: int, max_degree: int, coefficients: tuple[int, ...]):
+    ctx = create_field(n)
+    for d in range(3, max_degree + 1):
         for e in range(1, d):
-            for c in cfg.coefficients:
+            for c in coefficients:
                 f = UniPoly(ctx, {d: 1, e: c})
                 verdict = screen_exceptional(f)
-                replayed = replay_trace(f, verdict) if cfg.check_replay else None
+                replayed = replay_trace(f, verdict)
                 yield {
                     "poly": f.render(),
                     "d": d,
@@ -52,17 +43,13 @@ def main() -> int:
     ap.add_argument("--coeffs", type=str, default="1", help="comma-separated hex coefficients for the trailing term")
     args = ap.parse_args()
 
-    cfg = SurveyConfig(
-        n=args.n,
-        max_degree=args.max_degree,
-        coefficients=tuple(int(c, 16) for c in args.coeffs.split(",")),
-    )
+    coefficients = tuple(int(c, 16) for c in args.coeffs.split(","))
 
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["poly", "d", "e", "status", "theorem", "heuristic", "replays"])
     tally: Counter[str] = Counter()
     bad_replays = 0
-    for row in survey(cfg):
+    for row in survey(args.n, args.max_degree, coefficients):
         writer.writerow([row[k] for k in ("poly", "d", "e", "status", "theorem", "heuristic", "replays")])
         tally[row["status"]] += 1
         bad_replays += row["replays"] is False

@@ -43,7 +43,6 @@ from .poly import (
     linear_form,
     parse_unipoly,
     shift_xy,
-    tri_eval,
     tri_mul,
 )
 from .screen import (
@@ -112,6 +111,5 @@ __all__ = [
     "shift_xy",
     "subfield_embedding",
     "theorem1_min_field",
-    "tri_eval",
     "tri_mul",
 ]

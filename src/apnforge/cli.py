@@ -66,6 +66,16 @@ def _hex_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not a hexadecimal value: {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _field(args):
     return create_field(args.n, getattr(args, "modulus", None))
 
@@ -425,7 +435,7 @@ def _build_parser() -> _Parser:
     _add_field_args(p)
     p.add_argument("--poly", required=True, help='polynomial text, e.g. "x^9+0x3*x^5"')
     p.add_argument("--full", action="store_true", help="keep the full (a, b) table (json)")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for the scan")
+    p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes for the scan")
     formats(p, "plain", tabular=True)
     p.set_defaults(func=_cmd_ddt)
 
@@ -436,7 +446,7 @@ def _build_parser() -> _Parser:
     )
     _add_field_args(p)
     p.add_argument("--poly", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     formats(p, "json")
     p.set_defaults(func=_cmd_apn)
 

@@ -9,10 +9,12 @@ everything it produces.
 from __future__ import annotations
 
 import math
+import os
+from collections import Counter
 from dataclasses import dataclass
 
 from .field import FieldCtx, create_field
-from .poly import ConstraintViolated, TriPoly, UniPoly
+from .poly import ConstraintViolated, UniPoly
 
 SPECTRUM_MAX_N = 20
 PROP1_MAX_N = 7
@@ -70,6 +72,15 @@ class DiffSpectrum:
         }
 
 
+def _difference_row(fv: list[int], a: int) -> dict[int, int]:
+    """b -> #{x : f(x+a) + f(x) = b}, from the value table fv of f."""
+    per_b: dict[int, int] = {}
+    for x in range(len(fv)):
+        b = fv[x ^ a] ^ fv[x]
+        per_b[b] = per_b.get(b, 0) + 1
+    return per_b
+
+
 def _spectrum_rows(args):
     n, modulus, terms, a_list, full = args
     ctx = create_field(n, modulus)
@@ -78,10 +89,7 @@ def _spectrum_rows(args):
     counts: dict[int, dict[int, int]] = {}
     table: dict[int, dict[int, int]] = {}
     for a in a_list:
-        per_b: dict[int, int] = {}
-        for x in range(q):
-            b = fv[x ^ a] ^ fv[x]
-            per_b[b] = per_b.get(b, 0) + 1
+        per_b = _difference_row(fv, a)
         hist: dict[int, int] = {}
         for c in per_b.values():
             hist[c] = hist.get(c, 0) + 1
@@ -97,8 +105,9 @@ def _spectrum_rows(args):
 def diff_spectrum(f: UniPoly, full: bool = False, jobs: int = 1) -> DiffSpectrum:
     """Exhaustive differential spectrum of f; full also keeps the (a, b) table.
 
-    jobs > 1 splits the nonzero differences across processes; rows are keyed
-    by the difference value, so the merge cannot depend on worker order.
+    jobs > 1 splits the nonzero differences across processes, at most one per
+    CPU and one per row; rows are keyed by the difference value, so the merge
+    cannot depend on worker order.
     """
     ctx = f.ctx
     if ctx.n > SPECTRUM_MAX_N:
@@ -107,16 +116,18 @@ def diff_spectrum(f: UniPoly, full: bool = False, jobs: int = 1) -> DiffSpectrum
         )
     q = ctx.order
     all_a = list(range(1, q))
-    if jobs <= 1 or q < 64:
+    workers = min(jobs, os.cpu_count() or 1, q - 1)
+    if workers <= 1 or q < 64:
         counts, table = _spectrum_rows((ctx.n, ctx.modulus, f.terms, all_a, full))
     else:
         import multiprocessing
 
         chunks = [
-            (ctx.n, ctx.modulus, f.terms, all_a[i::jobs], full) for i in range(jobs)
+            (ctx.n, ctx.modulus, f.terms, all_a[i::workers], full)
+            for i in range(workers)
         ]
         counts, table = {}, {}
-        with multiprocessing.get_context("fork").Pool(jobs) as pool:
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
             for part_counts, part_table in pool.map(_spectrum_rows, chunks):
                 counts.update(part_counts)
                 table.update(part_table)
@@ -184,119 +195,66 @@ def corollary_bound(d: int, q: int) -> int:
     return 4 * ((d - 3) * q + 1)
 
 
-def _plane_zero_count(p: TriPoly) -> int:
-    """Zeros of p(t, t, z) over all (t, z); p must be symmetric in x, y, z."""
-    ctx = p.ctx
+def _affine_zero_count(ctx: FieldCtx, terms: dict[int, int], square_sum: int) -> int:
+    """Zeros of phi_g in GF(q)^3, g = sum c_j x^j given by terms.
+
+    square_sum is the sum of delta_g(a, b)^2 over a != 0 and all b.  The a = 0
+    row adds q^2, and every point of the three planes is a zero of N_g.
+    """
     q = ctx.order
-    biv: dict[tuple[int, int], int] = {}
-    for (i, j, k), c in p.terms.items():
-        key = (i + j, k)
-        r = biv.get(key, 0) ^ c
-        if r:
-            biv[key] = r
-        else:
-            del biv[key]
-    if not biv:
-        return q * q
-    count = 0
-    for t in range(q):
-        uni: dict[int, int] = {}
-        for (e, k), c in biv.items():
-            v = ctx.mul(c, ctx.pow(t, e))
-            if v:
-                r = uni.get(k, 0) ^ v
-                if r:
-                    uni[k] = r
-                else:
-                    del uni[k]
-        if not uni:
-            count += q
-            continue
-        items = list(uni.items())
-        for z in range(q):
-            acc = 0
-            for k, c in items:
-                acc ^= ctx.mul(c, ctx.pow(z, k))
-            if acc == 0:
-                count += 1
-    return count
-
-
-def _line_zero_count(p: TriPoly) -> int:
-    """Zeros of p(t, t, t) over all t."""
-    ctx = p.ctx
-    uni: dict[int, int] = {}
-    for (i, j, k), c in p.terms.items():
-        e = i + j + k
-        r = uni.get(e, 0) ^ c
-        if r:
-            uni[e] = r
-        else:
-            del uni[e]
-    count = 0
-    for t in range(ctx.order):
-        acc = 0
-        for e, c in uni.items():
-            acc ^= ctx.mul(c, ctx.pow(t, e))
-        if acc == 0:
-            count += 1
-    return count
+    off_planes = square_sum + q * q - (3 * q * q - 2 * q)
+    line = _f_table(UniPoly(ctx, {j - 3: c for j, c in terms.items() if j % 4 == 3})).count(0)
+    # g', the formal derivative: in characteristic 2 only odd exponents survive
+    derivative = UniPoly(ctx, {j - 1: c for j, c in terms.items() if j % 2})
+    fibres = Counter(_f_table(derivative)).values()
+    plane = sum(m * (m - 1) for m in fibres) + line
+    return off_planes + 3 * plane - 2 * line
 
 
 def projective_point_count(f: UniPoly) -> int:
     """Rational points of the projective closure of phi_f = 0.
 
-    Affine points split by D: where D != 0 the identity N_f = phi_f * D lets
-    the scan test N_f via a value table of f; where D = 0 (the three planes,
-    which meet in the diagonal line) phi_f is evaluated through its plane
-    restrictions, using the symmetry of phi_f.  Points at infinity come from
-    the top homogeneous part over the 2^(2n) + 2^n + 1 representatives of the
-    projective plane.
+    Every count comes from value tables of univariate polynomials, with
+    delta_g(a, b) = #{x : g(x+a) + g(x) = b} and q = 2^n:
+      - off the planes (D != 0) phi_g = 0 exactly where N_g = 0, and the zeros
+        of N_g number sum_{a,b} delta_g(a, b)^2; the planes hold 3q^2 - 2q of
+        them;
+      - on the plane x = y, phi_g(t, t, z) = (g'(t) + g'(z)) / (t + z)^2, so it
+        holds sum_v m_v (m_v - 1) zeros with t != z, m_v = #{t : g'(t) = v};
+      - on the line x = y = z, phi_g(t, t, t) = sum_{j = 3 mod 4} c_j t^(j-3);
+      - the affine count is off + 3 * plane - 2 * line.
+    The top homogeneous part of phi_f is c_e phi_e, e the largest exponent of
+    f that is >= 3 and not a power of two.  Its zeros form a cone through the
+    origin, so the points at infinity number (affine(x^e) - 1) / (q - 1),
+    none when e = 3 (phi_3 = 1).  For x^e every row a != 0 of the difference
+    table is row 1 with b -> b / a^e, so row 1 alone gives its square sum.
+    If f is additive (every exponent 0 or a power of two), phi_f = 0 and every
+    point counts.
     """
-    from .phi import build_phi
-
     ctx = f.ctx
     if ctx.n > POINTS_MAX_N:
         raise ConstraintViolated(
             f"point counting is capped at n <= {POINTS_MAX_N}, got {ctx.n}"
         )
     q = ctx.order
-    phi = build_phi(f)
-    if phi.is_zero():
+    e = max((j for j in f.terms if j >= 3 and j & (j - 1)), default=None)
+    if e is None:
         # the whole space plus the projective plane at infinity
         return q**3 + q * q + q + 1
 
     fv = _f_table(f)
-    off_planes = 0
-    for x in range(q):
-        fx = fv[x]
-        for y in range(q):
-            if y == x:
-                continue
-            fxy = fx ^ fv[y]
-            s = x ^ y
-            for z in range(q):
-                if z == x or z == y:
-                    continue
-                if fxy ^ fv[z] ^ fv[s ^ z] == 0:
-                    off_planes += 1
+    square_sum = sum(
+        c * c for a in range(1, q) for c in _difference_row(fv, a).values()
+    )
+    affine = _affine_zero_count(ctx, f.terms, square_sum)
+    if e == 3:
+        return affine
 
-    plane = _plane_zero_count(phi)
-    line = _line_zero_count(phi)
-    affine = off_planes + 3 * plane - 2 * line
-
-    top_deg = phi.total_degree()
-    top = phi.homogeneous_parts()[top_deg]
-    infinity = 0
-    for y in range(q):
-        for z in range(q):
-            if top.eval(1, y, z) == 0:
-                infinity += 1
-    for z in range(q):
-        if top.eval(0, 1, z) == 0:
-            infinity += 1
-    if top.eval(0, 0, 1) == 0:
-        infinity += 1
+    row = _difference_row(_f_table(UniPoly(ctx, {e: 1})), 1)
+    cone = _affine_zero_count(ctx, {e: 1}, (q - 1) * sum(c * c for c in row.values()))
+    infinity, rest = divmod(cone - 1, q - 1)
+    if rest:
+        raise AssertionError("zeros of the top homogeneous part do not form a cone")
     return affine + infinity
 
 

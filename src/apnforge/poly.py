@@ -339,10 +339,6 @@ def tri_mul(p: TriPoly, q: TriPoly) -> TriPoly:
     return TriPoly(p.ctx, out)
 
 
-def tri_eval(p: TriPoly, x: int, y: int, z: int) -> int:
-    return p.eval(x, y, z)
-
-
 def _form_leading_var(form: tuple[int, int, int]) -> int:
     for v, c in enumerate(form):
         if c:

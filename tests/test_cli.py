@@ -171,6 +171,15 @@ def test_jobs_do_not_change_output(capsys):
     assert serial == parallel
 
 
+@pytest.mark.parametrize("verb", ["ddt", "apn"])
+@pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+def test_jobs_below_one_is_usage_error(capsys, verb, jobs):
+    code, out, err = invoke(capsys, verb, "--n", "4", "--poly", "x^3", "--jobs", jobs)
+    assert code == 2
+    assert out == ""
+    assert "--jobs" in err and "example:" in err
+
+
 def test_verify_lucas_suite(capsys):
     code, out, err = invoke(capsys, "verify", "--suite", "lucas")
     assert code == 0

@@ -1,4 +1,8 @@
+import itertools
 import math
+import multiprocessing
+import os
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +19,9 @@ from apnforge.ddt import (
     projective_point_count,
     prop1_check,
 )
-from apnforge.field import create_field
-from apnforge.poly import ConstraintViolated, UniPoly
+from apnforge.field import FieldCtx, create_field
+from apnforge.phi import build_phi
+from apnforge.poly import ConstraintViolated, TriPoly, UniPoly
 
 
 def test_gold_cube_is_apn_everywhere_small():
@@ -66,6 +71,45 @@ def test_parallel_merge_matches_serial():
     b = diff_spectrum(f, full=True, jobs=3)
     assert a.counts == b.counts
     assert a.table == b.table
+
+
+@pytest.mark.parametrize(
+    "jobs,cpus,n,workers",
+    [
+        (1000, 4, 7, 4),  # capped by the CPU count
+        (3, 8, 7, 3),
+        (1000, 1000, 6, 63),  # capped by the number of rows
+        (0, 4, 7, None),  # below one runs serially
+        (-5, 4, 7, None),
+        (8, None, 7, None),  # unknown CPU count runs serially
+    ],
+)
+def test_spectrum_workers_are_clamped(monkeypatch, jobs, cpus, n, workers):
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return [fn(chunk) for chunk in chunks]
+
+    class StubContext:
+        Pool = RecordingPool
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: StubContext)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    f = UniPoly(create_field(n), {9: 1, 5: 1})
+    serial = diff_spectrum(f, full=True)
+    clamped = diff_spectrum(f, full=True, jobs=jobs)
+    assert sizes == ([] if workers is None else [workers])
+    assert (clamped.counts, clamped.table) == (serial.counts, serial.table)
 
 
 @settings(max_examples=25, deadline=None)
@@ -118,9 +162,123 @@ def test_corollary_bound_formula():
     assert corollary_bound(9, 32) == 772
 
 
+def _log_tables(ctx: FieldCtx) -> tuple[list[int], dict[int, int]]:
+    g = next(a for a in range(1, ctx.order) if ctx.element_order(a) == ctx.order - 1)
+    exp = [1]
+    for _ in range(ctx.order - 2):
+        exp.append(ctx.mul(exp[-1], g))
+    return exp, {v: i for i, v in enumerate(exp)}
+
+
+def _grid_values(p: TriPoly, xs, ys, zs):
+    """p at every point of xs x ys x zs, in itertools.product order.
+
+    Brute force with log/antilog arithmetic: substitute x, then y, then
+    evaluate the leftover polynomial in z at every z.  Exponents are first
+    reduced by v^e = v^((e - 1) mod (q - 1) + 1) for e >= 1, which holds at
+    every point of GF(q) and bounds the size of the substituted polynomials.
+    TriPoly.eval at every point would take over a minute on the x^d set at
+    n = 4; the next test checks that both give the same values.
+    """
+    exp, log = _log_tables(p.ctx)
+    order = p.ctx.order - 1
+
+    def term(c, v, e):  # c * v^e, with 0^0 = 1
+        if e == 0:
+            return c
+        return exp[(log[c] + log[v] * e) % order] if v else 0
+
+    def substitute(terms, v):
+        out: dict = {}
+        for (e, *rest), c in terms.items():
+            t = term(c, v, e)
+            if t:
+                out[tuple(rest)] = out.get(tuple(rest), 0) ^ t
+        return {k: c for k, c in out.items() if c}
+
+    reduced: dict = {}
+    for key, c in p.terms.items():
+        key = tuple((e - 1) % order + 1 if e else 0 for e in key)
+        reduced[key] = reduced.get(key, 0) ^ c
+    reduced = {k: c for k, c in reduced.items() if c}
+    for x in xs:
+        yz = substitute(reduced, x)
+        for y in ys:
+            z_terms = substitute(yz, y)
+            for z in zs:
+                acc = 0
+                for (k,), c in z_terms.items():
+                    acc ^= term(c, z, k)
+                yield acc
+
+
+def _brute_point_count(f: UniPoly) -> int:
+    """Zeros of phi_f at every point of GF(q)^3, plus zeros of its top
+    homogeneous part at the q^2 + q + 1 representatives of P^2."""
+    phi = build_phi(f)
+    parts = phi.homogeneous_parts()
+    top = parts[max(parts)] if parts else phi
+    field = range(f.ctx.order)
+    values = itertools.chain(
+        _grid_values(phi, field, field, field),
+        _grid_values(top, [1], field, field),
+        _grid_values(top, [0], [1], field),
+        _grid_values(top, [0], [0], [1]),
+    )
+    return sum(v == 0 for v in values)
+
+
+def test_brute_force_evaluator_matches_tri_eval():
+    for n, terms in ((1, {5: 1}), (2, {9: 2, 7: 1, 0: 3}), (3, {13: 5, 6: 1, 1: 7})):
+        phi = build_phi(UniPoly(create_field(n), terms))
+        field = range(1 << n)
+        want = [phi.eval(x, y, z) for x, y, z in itertools.product(field, repeat=3)]
+        assert list(_grid_values(phi, field, field, field)) == want
+
+
+def test_projective_count_matches_brute_force_monomials():
+    for n in range(1, 5):
+        ctx = create_field(n)
+        for d in range(41):
+            f = UniPoly(ctx, {d: 1})
+            assert projective_point_count(f) == _brute_point_count(f), (n, d)
+
+
+def test_projective_count_matches_brute_force_polynomials():
+    rng = random.Random(2)
+    cases = [
+        (4, {7: 1, 0: 1}),  # constant term
+        (4, {16: 1, 5: 1}),  # power-of-two top exponent
+        (4, {4: 1, 2: 1}),  # additive: phi_f = 0
+        (4, {4: 3, 3: 1, 1: 2}),  # top part phi_3 = 1: nothing at infinity
+        (5, {9: 1, 7: 1}),
+        (5, {6: 3, 5: 1, 0: 7}),
+        (5, {12: 1, 11: 0x15}),
+    ]
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        terms = {rng.randint(0, 70): rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 5))}
+        cases.append((n, terms))
+    for n, terms in cases:
+        f = UniPoly(create_field(n), terms)
+        assert projective_point_count(f) == _brute_point_count(f), (n, terms)
+
+
 def test_projective_count_golden_x9_x7():
     f = UniPoly(create_field(5), {9: 1, 7: 1})
     assert projective_point_count(f) == 1058
+
+
+@pytest.mark.parametrize(
+    "n,terms,expected",
+    [
+        (6, {9: 1, 7: 1}, 5660),
+        (7, {9: 1, 7: 1}, 16346),
+        (4, {16: 1, 5: 1}, 529),
+    ],
+)
+def test_projective_count_goldens(n, terms, expected):
+    assert projective_point_count(UniPoly(create_field(n), terms)) == expected
 
 
 def test_projective_count_cap():

@@ -13,7 +13,6 @@ from apnforge.poly import (
     linear_form,
     parse_unipoly,
     shift_xy,
-    tri_eval,
     tri_mul,
 )
 
@@ -143,7 +142,7 @@ def test_tri_eval_matches_term_sum(p, x, y, z):
     for (i, j, k), c in p.terms.items():
         t = F8.mul(F8.pow(x, i), F8.mul(F8.pow(y, j), F8.pow(z, k)))
         want ^= F8.mul(c, t)
-    assert tri_eval(p, x, y, z) == want
+    assert p.eval(x, y, z) == want
 
 
 def test_exact_div_linear_known_quotients():

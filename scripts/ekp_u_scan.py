@@ -22,6 +22,8 @@ def main() -> int:
     ap.add_argument("--sample", type=int, default=None)
     ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args()
+    if args.jobs < 1:
+        ap.error(f"--jobs must be at least 1, got {args.jobs}")
 
     ctx = create_field(10)
     us = ekp_admissible_u(ctx)

@@ -695,14 +695,11 @@ def screen_exceptional(f: UniPoly) -> Verdict:
                     {"k2": k // 2, "h_degree": dh},
                     _even_boundary_label(k),
                 )
-                # For k = 2 the boundary term is x^4, whose phi vanishes, so
-                # there is no odd Gold core to factor through.
-                if gold_param(dh // 2) is not None:
-                    note(
-                        "boundary_term_obstruction",
-                        {"top_degree": dh, "odd_core": dh // 2},
-                        _obstruction_label(dh, dh // 2),
-                    )
+                note(
+                    "boundary_term_obstruction",
+                    {"top_degree": dh, "odd_core": dh // 2},
+                    _obstruction_label(dh, dh // 2),
+                )
 
     if kw is not None and not work.is_monomial():
         g = work + UniPoly(ctx, {d: 1})

@@ -1,4 +1,7 @@
 import json
+import runpy
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -178,6 +181,16 @@ def test_jobs_below_one_is_usage_error(capsys, verb, jobs):
     assert code == 2
     assert out == ""
     assert "--jobs" in err and "example:" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_ekp_scan_jobs_below_one_is_usage_error(monkeypatch, capsys, jobs):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "ekp_u_scan.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--jobs", jobs])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exc.value.code == 2
+    assert "--jobs must be at least 1" in capsys.readouterr().err
 
 
 def test_verify_lucas_suite(capsys):

@@ -386,12 +386,3 @@ def test_replay_randomized_gf32(terms):
         assert verdict.theorem is None
     if verdict.heuristic:
         assert verdict.theorem == "Thm 9"
-
-
-def test_screen_k2_boundary_has_no_obstruction_entry():
-    f = UniPoly(F32, {5: 1, 4: 1})
-    verdict = screen_exceptional(f)
-    tests = [e["test"] for e in verdict.trace]
-    assert "even_boundary_shape" in tests
-    assert "boundary_term_obstruction" not in tests
-    assert replay_trace(f, verdict)

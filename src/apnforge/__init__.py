@@ -6,7 +6,7 @@ Everything is organized around the surface polynomial of f,
 
 whose rational points encode the APN property.  The package builds these
 surfaces, proves or refutes coprimality against the degree 2^k + 1 product
-of linear forms, measures differential spectra exhaustively, and screens
+of linear forms, measures differential spectra, and screens
 polynomials for exceptional-APN candidacy with a replayable verdict trace.
 """
 

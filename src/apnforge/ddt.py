@@ -17,12 +17,9 @@ from .field import FieldCtx, create_field
 from .poly import ConstraintViolated, UniPoly
 
 SPECTRUM_MAX_N = 20
+SCAN_MAX_N = 14
 PROP1_MAX_N = 7
 POINTS_MAX_N = 8
-
-
-def _f_table(f: UniPoly) -> list[int]:
-    return [f.evaluate(x) for x in range(f.ctx.order)]
 
 
 @dataclass
@@ -81,39 +78,132 @@ def _difference_row(fv: list[int], a: int) -> dict[int, int]:
     return per_b
 
 
+def _row_histogram(per_b: dict[int, int], q: int) -> dict[int, int]:
+    """count -> #b with that count, for one row b -> count of the table."""
+    hist: dict[int, int] = {}
+    for c in per_b.values():
+        hist[c] = hist.get(c, 0) + 1
+    missed = q - len(per_b)
+    if missed:
+        hist[0] = missed
+    return hist
+
+
+def _monomial_row(ctx: FieldCtx, d: int) -> dict[int, int]:
+    """Row a = 1 of the difference table of x^d.
+
+    Row a of c x^d + c0 is this row with b -> c a^d b (substitute x = a y),
+    so its histogram is the histogram of every row a != 0.
+    """
+    return _difference_row(UniPoly(ctx, {d: 1}).value_table(), 1)
+
+
+def _gf2_rank(vectors: list[int], width: int) -> int:
+    """Rank over GF(2) of vectors of at most width bits."""
+    pivots = [0] * (width + 1)  # pivots[t]: the basis vector of bit length t
+    rank = 0
+    for v in vectors:
+        while v:
+            t = v.bit_length()
+            if not pivots[t]:
+                pivots[t] = v
+                rank += 1
+                break
+            v ^= pivots[t]
+    return rank
+
+
+def _quadratic_ranks(f: UniPoly):
+    """Rank of x -> f(x+a) + f(x) + f(a) + f(0) for a = 1 .. q - 1, in order.
+
+    The map is GF(2)-linear when every exponent of f has binary weight <= 2,
+    so its rank is that of its images of the basis 1, 2, 4, ..., 2^(n-1).
+    """
+    fv = f.value_table()
+    n = f.ctx.n
+    units = [1 << i for i in range(n)]
+    for a in range(1, f.ctx.order):
+        shift = fv[a] ^ fv[0]
+        yield _gf2_rank([fv[u ^ a] ^ fv[u] ^ shift for u in units], n)
+
+
+def _spectrum_path(f: UniPoly, full: bool = False) -> str:
+    """Which identity gives f's rows: "power", "quadratic" or "scan".
+
+    Checks the caps first, so an input over them costs nothing.
+    """
+    n = f.ctx.n
+    if n > SPECTRUM_MAX_N:
+        raise ConstraintViolated(
+            f"spectrum enumeration is capped at n <= {SPECTRUM_MAX_N}, got {n}"
+        )
+    positive = [e for e in f.terms if e]
+    if not full and len(positive) == 1:
+        return "power"
+    if not full and all(e.bit_count() <= 2 for e in positive):
+        return "quadratic"
+    if n > SCAN_MAX_N:
+        reason = "a full table" if full else "an input that is neither a power map nor quadratic"
+        raise ConstraintViolated(
+            f"the exhaustive difference scan for {reason} is capped at "
+            f"n <= {SCAN_MAX_N}, got {n}"
+        )
+    return "scan"
+
+
 def _spectrum_rows(args):
     n, modulus, terms, a_list, full = args
     ctx = create_field(n, modulus)
-    fv = _f_table(UniPoly(ctx, terms))
+    fv = UniPoly(ctx, terms).value_table()
     q = ctx.order
     counts: dict[int, dict[int, int]] = {}
     table: dict[int, dict[int, int]] = {}
     for a in a_list:
         per_b = _difference_row(fv, a)
-        hist: dict[int, int] = {}
-        for c in per_b.values():
-            hist[c] = hist.get(c, 0) + 1
-        missed = q - len(per_b)
-        if missed:
-            hist[0] = missed
-        counts[a] = hist
+        counts[a] = _row_histogram(per_b, q)
         if full:
             table[a] = per_b
     return counts, table
 
 
-def diff_spectrum(f: UniPoly, full: bool = False, jobs: int = 1) -> DiffSpectrum:
-    """Exhaustive differential spectrum of f; full also keeps the (a, b) table.
+def _row_counts(f: UniPoly, path: str) -> dict[int, dict[int, int]]:
+    """a -> {count -> #b} for every a != 0, serially, along the given path.
 
-    jobs > 1 splits the nonzero differences across processes, at most one per
-    CPU and one per row; rows are keyed by the difference value, so the merge
-    cannot depend on worker order.
+    Rows with the same histogram share one dict.
     """
     ctx = f.ctx
-    if ctx.n > SPECTRUM_MAX_N:
-        raise ConstraintViolated(
-            f"spectrum enumeration is capped at n <= {SPECTRUM_MAX_N}, got {ctx.n}"
-        )
+    q = ctx.order
+    if path == "power":
+        d = max(f.terms)
+        return dict.fromkeys(range(1, q), _row_histogram(_monomial_row(ctx, d), q))
+    if path == "quadratic":
+        # rank r: 2^(n-r) solutions for each of the 2^r values of the coset
+        by_rank = {
+            r: {1 << (ctx.n - r): 1 << r, 0: q - (1 << r)} for r in range(ctx.n + 1)
+        }
+        return {a: by_rank[r] for a, r in enumerate(_quadratic_ranks(f), 1)}
+    return _spectrum_rows((ctx.n, ctx.modulus, f.terms, range(1, q), False))[0]
+
+
+def diff_spectrum(f: UniPoly, full: bool = False, jobs: int = 1) -> DiffSpectrum:
+    """Differential spectrum of f; full also keeps the (a, b) table.
+
+    The rows come from one of three paths:
+      - power (one term of exponent >= 1, plus any constant): row a is row 1
+        with b relabelled, so row 1 alone gives every histogram, in O(q);
+      - quadratic (every exponent of binary weight <= 2): row a has 2^(n-r)
+        solutions for each of 2^r values b, r the GF(2)-rank of the linear
+        map x -> f(x+a) + f(x) + f(a) + f(0), in O(q n^2);
+      - scan (any other f, and every full table): all q^2 pairs (a, x),
+        capped at n <= SCAN_MAX_N; the other paths go up to SPECTRUM_MAX_N.
+    jobs > 1 splits the scan's nonzero differences across processes, at most
+    one per CPU and one per row; rows are keyed by the difference value, so
+    the merge cannot depend on worker order.  The other paths run serially.
+    """
+    ctx = f.ctx
+    path = _spectrum_path(f, full)
+    if path != "scan":
+        return DiffSpectrum(ctx=ctx, poly=f, counts=_row_counts(f, path))
     q = ctx.order
     all_a = list(range(1, q))
     workers = min(jobs, os.cpu_count() or 1, q - 1)
@@ -135,23 +225,20 @@ def diff_spectrum(f: UniPoly, full: bool = False, jobs: int = 1) -> DiffSpectrum
 
 
 def is_apn(f: UniPoly) -> bool:
-    """Early-exit APN test; agrees with diff_spectrum(f).uniformity == 2."""
-    ctx = f.ctx
-    if ctx.n > SPECTRUM_MAX_N:
-        raise ConstraintViolated(
-            f"spectrum enumeration is capped at n <= {SPECTRUM_MAX_N}, got {ctx.n}"
-        )
-    q = ctx.order
-    fv = _f_table(f)
-    for a in range(1, q):
-        per_b: dict[int, int] = {}
-        for x in range(q):
-            b = fv[x ^ a] ^ fv[x]
-            c = per_b.get(b, 0) + 1
-            if c > 2:
-                return False
-            per_b[b] = c
-    return True
+    """Early-exit APN test; agrees with diff_spectrum(f).uniformity == 2.
+
+    Takes diff_spectrum's path: a power map checks row 1 only, a quadratic
+    map needs rank n - 1 (a kernel of dimension 1) on every row, and any
+    other f scans row by row, up to SCAN_MAX_N, stopping at the first row
+    with a count above 2.
+    """
+    path = _spectrum_path(f)
+    if path == "power":
+        return max(_monomial_row(f.ctx, max(f.terms)).values()) <= 2
+    if path == "quadratic":
+        return all(r == f.ctx.n - 1 for r in _quadratic_ranks(f))
+    fv = f.value_table()
+    return all(max(_difference_row(fv, a).values()) <= 2 for a in range(1, f.ctx.order))
 
 
 def prop1_check(f: UniPoly) -> tuple[bool, tuple[int, int, int] | None]:
@@ -167,7 +254,7 @@ def prop1_check(f: UniPoly) -> tuple[bool, tuple[int, int, int] | None]:
             f"surface scan is capped at n <= {PROP1_MAX_N}, got {ctx.n}"
         )
     q = ctx.order
-    fv = _f_table(f)
+    fv = f.value_table()
 
     def scan():
         for x in range(q):
@@ -195,18 +282,21 @@ def corollary_bound(d: int, q: int) -> int:
     return 4 * ((d - 3) * q + 1)
 
 
-def _affine_zero_count(ctx: FieldCtx, terms: dict[int, int], square_sum: int) -> int:
-    """Zeros of phi_g in GF(q)^3, g = sum c_j x^j given by terms.
+def _affine_zero_count(g: UniPoly) -> int:
+    """Zeros of phi_g in GF(q)^3.
 
-    square_sum is the sum of delta_g(a, b)^2 over a != 0 and all b.  The a = 0
+    The rows a != 0 of g's difference table give sum delta_g(a, b)^2, the a = 0
     row adds q^2, and every point of the three planes is a zero of N_g.
     """
+    ctx, terms = g.ctx, g.terms
     q = ctx.order
+    rows = _row_counts(g, _spectrum_path(g)).values()
+    square_sum = sum(c * c * m for hist in rows for c, m in hist.items())
     off_planes = square_sum + q * q - (3 * q * q - 2 * q)
-    line = _f_table(UniPoly(ctx, {j - 3: c for j, c in terms.items() if j % 4 == 3})).count(0)
+    line = UniPoly(ctx, {j - 3: c for j, c in terms.items() if j % 4 == 3}).value_table().count(0)
     # g', the formal derivative: in characteristic 2 only odd exponents survive
     derivative = UniPoly(ctx, {j - 1: c for j, c in terms.items() if j % 2})
-    fibres = Counter(_f_table(derivative)).values()
+    fibres = Counter(derivative.value_table()).values()
     plane = sum(m * (m - 1) for m in fibres) + line
     return off_planes + 3 * plane - 2 * line
 
@@ -226,8 +316,8 @@ def projective_point_count(f: UniPoly) -> int:
     The top homogeneous part of phi_f is c_e phi_e, e the largest exponent of
     f that is >= 3 and not a power of two.  Its zeros form a cone through the
     origin, so the points at infinity number (affine(x^e) - 1) / (q - 1),
-    none when e = 3 (phi_3 = 1).  For x^e every row a != 0 of the difference
-    table is row 1 with b -> b / a^e, so row 1 alone gives its square sum.
+    none when e = 3 (phi_3 = 1).  The difference tables come from
+    diff_spectrum's paths, so x^e costs one row.
     If f is additive (every exponent 0 or a power of two), phi_f = 0 and every
     point counts.
     """
@@ -242,16 +332,11 @@ def projective_point_count(f: UniPoly) -> int:
         # the whole space plus the projective plane at infinity
         return q**3 + q * q + q + 1
 
-    fv = _f_table(f)
-    square_sum = sum(
-        c * c for a in range(1, q) for c in _difference_row(fv, a).values()
-    )
-    affine = _affine_zero_count(ctx, f.terms, square_sum)
+    affine = _affine_zero_count(f)
     if e == 3:
         return affine
 
-    row = _difference_row(_f_table(UniPoly(ctx, {e: 1})), 1)
-    cone = _affine_zero_count(ctx, {e: 1}, (q - 1) * sum(c * c for c in row.values()))
+    cone = _affine_zero_count(UniPoly(ctx, {e: 1}))
     infinity, rest = divmod(cone - 1, q - 1)
     if rest:
         raise AssertionError("zeros of the top homogeneous part do not form a cone")

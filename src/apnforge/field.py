@@ -264,6 +264,31 @@ def subfield_embedding(src: FieldCtx, dst: FieldCtx):
     return embed
 
 
+LOG_TABLE_MAX_N = 16
+
+
+@lru_cache(maxsize=16)
+def log_tables(ctx: FieldCtx) -> tuple[list[int], list[int]]:
+    """(exp, log) for GF(2^n), n <= LOG_TABLE_MAX_N, built on first use.
+
+    exp[i] = g^i for 0 <= i < q - 1 and log[exp[i]] = i, g the smallest
+    generator of the multiplicative group; log[0] is a placeholder, since 0
+    has no logarithm.  Cached per context (the 16 most recent), so a field
+    pays for its tables once and only if asked; callers must not modify them.
+    """
+    if ctx.n > LOG_TABLE_MAX_N:
+        raise ValueError(f"log tables are built for n <= {LOG_TABLE_MAX_N}, got {ctx.n}")
+    m = ctx.order - 1
+    g = next(a for a in range(1, ctx.order) if ctx.element_order(a) == m)
+    exp = [1] * m
+    for i in range(1, m):
+        exp[i] = ctx.mul(exp[i - 1], g)
+    log = [0] * ctx.order
+    for i, v in enumerate(exp):
+        log[v] = i
+    return exp, log
+
+
 def _verify_default_moduli() -> None:
     for n, m in DEFAULT_MODULI.items():
         if not (m & 1 and is_irreducible(m, n)):

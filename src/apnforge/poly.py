@@ -8,7 +8,7 @@ Coefficient addition in characteristic 2 is XOR, so sums cancel on insert.
 
 from __future__ import annotations
 
-from .field import FieldCtx
+from .field import LOG_TABLE_MAX_N, FieldCtx, log_tables
 
 DEGREE_CAP = 1 << 16
 
@@ -92,6 +92,27 @@ class UniPoly:
         for e, c in self.terms.items():
             acc ^= self.ctx.mul(c, self.ctx.pow(x, e))
         return acc
+
+    def value_table(self) -> list[int]:
+        """[f(0), f(1), ..., f(q - 1)], the values at every element.
+
+        Up to LOG_TABLE_MAX_N each term c x^e is exp[(log c + e log x) mod
+        (q - 1)] at x != 0, from the field's log/antilog tables, and 0^0 = 1
+        keeps the constant term at x = 0.  Larger fields use evaluate.
+        """
+        ctx = self.ctx
+        if ctx.n > LOG_TABLE_MAX_N:
+            return [self.evaluate(x) for x in range(ctx.order)]
+        exp, log = log_tables(ctx)
+        m = ctx.order - 1
+        logs = log[1:]  # log x for x = 1 .. q - 1
+        const = self.terms.get(0, 0)
+        values = [const] * m
+        for e, c in self.terms.items():
+            if e:
+                lc, step = log[c], e % m
+                values = [v ^ exp[(lc + step * lx) % m] for v, lx in zip(values, logs)]
+        return [const] + values
 
     def render(self) -> str:
         """Canonical text, descending degree; round-trips through the parser."""

@@ -1,6 +1,7 @@
 import json
 import runpy
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -93,6 +94,48 @@ def test_ddt_json_full_table(capsys):
     assert len(payload["table"]) == 7
     row = payload["table"]["1"]
     assert sum(row.values()) == 8
+
+
+def test_ddt_json_quadratic_bytes(capsys):
+    poly = "0x3*x^5+x^3+x+0x6*x^0"  # weight <= 2: the rank path, unless --full
+    histogram = (
+        '"histogram": [{"count": 0, "frequency": 34}, {"count": 2, "frequency": 16}, '
+        '{"count": 4, "frequency": 6}], "modulus": "0xb", "n": 3, "poly": "0x3*x^5+x^3+x+0x6*x^0"'
+    )
+    table = (
+        '"table": {"1": {"0": 2, "1": 2, "2": 2, "3": 2}, "2": {"0": 2, "1": 2, "2": 2, "3": 2}, '
+        '"3": {"0": 4, "1": 4}, "4": {"4": 2, "5": 2, "6": 2, "7": 2}, "5": {"4": 4, "7": 4}, '
+        '"6": {"5": 4, "7": 4}, "7": {"4": 2, "5": 2, "6": 2, "7": 2}}'
+    )
+    code, out, _ = invoke(capsys, "ddt", "--n", "3", "--poly", poly, "--full", "--format", "json")
+    assert code == 0
+    assert out == '{"apn": false, ' + histogram + ", " + table + ', "uniformity": 4}\n'
+    code, out, _ = invoke(capsys, "ddt", "--n", "3", "--poly", poly, "--format", "json")
+    assert code == 0
+    assert out == '{"apn": false, ' + histogram + ', "uniformity": 4}\n'
+
+
+@pytest.mark.parametrize("poly", ["x^57", "x^3+0x5*x^12"])
+def test_ddt_power_and_quadratic_reach_n16(capsys, poly):
+    code, out, _ = invoke(capsys, "ddt", "--n", "16", "--poly", poly, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["apn"] is True
+    assert payload["histogram"] == [
+        {"count": 0, "frequency": (2**16 - 1) * 2**15},
+        {"count": 2, "frequency": (2**16 - 1) * 2**15},
+    ]
+
+
+@pytest.mark.parametrize("extra", [[], ["--full"]])
+def test_ddt_scan_cap_exits_3_at_once(capsys, extra):
+    poly = "x^7+x^3" if not extra else "x^3"
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "ddt", "--n", "15", "--poly", poly, *extra)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert "capped at n <= 14" in err
 
 
 def test_screen_verb_matches_library(capsys):

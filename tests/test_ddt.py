@@ -9,7 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apnforge.ddt import (
+    SCAN_MAX_N,
+    SPECTRUM_MAX_N,
     FamilySpec,
+    _spectrum_path,
     corollary_bound,
     diff_spectrum,
     ekp_admissible_u,
@@ -73,18 +76,9 @@ def test_parallel_merge_matches_serial():
     assert a.table == b.table
 
 
-@pytest.mark.parametrize(
-    "jobs,cpus,n,workers",
-    [
-        (1000, 4, 7, 4),  # capped by the CPU count
-        (3, 8, 7, 3),
-        (1000, 1000, 6, 63),  # capped by the number of rows
-        (0, 4, 7, None),  # below one runs serially
-        (-5, 4, 7, None),
-        (8, None, 7, None),  # unknown CPU count runs serially
-    ],
-)
-def test_spectrum_workers_are_clamped(monkeypatch, jobs, cpus, n, workers):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Sizes of the process pools diff_spectrum asks for; none is started."""
     sizes = []
 
     class RecordingPool:
@@ -104,12 +98,37 @@ def test_spectrum_workers_are_clamped(monkeypatch, jobs, cpus, n, workers):
         Pool = RecordingPool
 
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: StubContext)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "jobs,cpus,n,workers",
+    [
+        (1000, 4, 7, 4),  # capped by the CPU count
+        (3, 8, 7, 3),
+        (1000, 1000, 6, 63),  # capped by the number of rows
+        (0, 4, 7, None),  # below one runs serially
+        (-5, 4, 7, None),
+        (8, None, 7, None),  # unknown CPU count runs serially
+    ],
+)
+def test_spectrum_workers_are_clamped(monkeypatch, pool_sizes, jobs, cpus, n, workers):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     f = UniPoly(create_field(n), {9: 1, 5: 1})
     serial = diff_spectrum(f, full=True)
     clamped = diff_spectrum(f, full=True, jobs=jobs)
-    assert sizes == ([] if workers is None else [workers])
+    assert pool_sizes == ([] if workers is None else [workers])
     assert (clamped.counts, clamped.table) == (serial.counts, serial.table)
+
+
+def test_fast_paths_start_no_pool(monkeypatch, pool_sizes):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    ctx = create_field(7)
+    for terms in ({9: 1}, {9: 1, 5: 3, 0: 1}):  # power, quadratic
+        diff_spectrum(UniPoly(ctx, terms), jobs=4)
+    assert pool_sizes == []
+    diff_spectrum(UniPoly(ctx, {9: 1, 7: 1}), jobs=4)  # the scan still splits
+    assert pool_sizes == [4]
 
 
 @settings(max_examples=25, deadline=None)
@@ -138,6 +157,112 @@ def test_is_apn_agrees_with_spectrum():
     for terms in ({3: 1}, {5: 1}, {9: 1, 7: 1}, {13: 1}, {15: 1}):
         f = UniPoly(ctx, terms)
         assert is_apn(f) == diff_spectrum(f).is_apn()
+
+
+def test_value_table_matches_evaluate():
+    rng = random.Random(3)
+    for n in range(1, 9):
+        ctx = create_field(n)
+        q = ctx.order
+        cases = [{}, {0: 1}, {q - 1: 1}, {q: 1, 0: q - 1}, {3 * q + 5: 1, 1: 1}]
+        for _ in range(12):
+            terms = {rng.randint(0, 4 * q): rng.randrange(1, q) for _ in range(rng.randint(1, 5))}
+            cases.append(terms)
+        for terms in cases:
+            f = UniPoly(ctx, terms)
+            assert f.value_table() == [f.evaluate(x) for x in range(q)], (n, terms)
+
+
+def _check_against_scan(f: UniPoly, path: str):
+    """The fast path agrees with the exhaustive scan on every row and on APN."""
+    assert _spectrum_path(f) == path
+    scan = diff_spectrum(f, full=True)
+    assert diff_spectrum(f).counts == scan.counts, (f, path)
+    assert is_apn(f) == scan.is_apn(), (f, path)
+
+
+def test_power_path_matches_scan_every_monomial():
+    for n in range(1, 8):
+        ctx = create_field(n)
+        for d in range(1, 71):
+            _check_against_scan(UniPoly(ctx, {d: 1}), "power")
+        # coefficients and a constant only relabel b
+        _check_against_scan(UniPoly(ctx, {13: ctx.order - 1, 0: 1}), "power")
+
+
+def test_quadratic_path_matches_scan_seeded():
+    rng = random.Random(4)
+    for _ in range(40):
+        n = rng.randint(2, 8)
+        q = 1 << n
+        exps = rng.sample([e for e in range(q) if e.bit_count() <= 2], rng.randint(2, 4))
+        terms = {e: rng.randrange(1, q) for e in exps}
+        terms[0] = rng.randrange(q)  # constant term, zero or not
+        terms[1] = rng.randrange(q)  # linear term, zero or not
+        f = UniPoly(create_field(n), terms)
+        _check_against_scan(f, "power" if len([e for e in f.terms if e]) == 1 else "quadratic")
+
+
+def test_fast_paths_match_scan_on_exponents_beyond_q():
+    ctx = create_field(4)  # q = 16: x^17 = x^2, x^(2^5 + 2^9) = x^(2 + 2)
+    _check_against_scan(UniPoly(ctx, {17: 1}), "power")
+    _check_against_scan(UniPoly(ctx, {2**5 + 2**9: 3, 3: 1}), "quadratic")
+    _check_against_scan(UniPoly(ctx, {2**4 + 2**6: 5, 2**8 + 1: 7, 0: 1}), "quadratic")
+    ctx = create_field(5)
+    _check_against_scan(UniPoly(ctx, {2**7 + 2**10: 1, 5: 9, 2**6: 2}), "quadratic")
+    _check_against_scan(UniPoly(ctx, {3 * 31 + 7: 1}), "power")
+
+
+def test_fast_paths_match_scan_on_additive_functions():
+    for n in (1, 3, 6):
+        ctx = create_field(n)
+        q = ctx.order
+        _check_against_scan(UniPoly(ctx, {4: 1, 2: 1, 1: q - 1, 0: 1}), "quadratic")
+        _check_against_scan(UniPoly(ctx, {2: 1, 1: 1}), "quadratic")
+        _check_against_scan(UniPoly(ctx, {8: 1}), "power")
+        _check_against_scan(UniPoly(ctx, {0: 1}), "quadratic")
+        spec = diff_spectrum(UniPoly(ctx, {4: 1, 1: 1}))
+        assert spec.uniformity == q  # one value b takes every x
+
+
+@pytest.mark.parametrize(
+    "spec,path",
+    [
+        (FamilySpec("gold", 9, 2), "power"),
+        (FamilySpec("kasami-welch", 9, 2), "power"),
+        (FamilySpec("welch", 9, 4), "power"),
+        (FamilySpec("niho", 9, 4), "power"),
+        (FamilySpec("inverse", 9, 4), "power"),
+        (FamilySpec("gold", 10, 3), "power"),
+        (FamilySpec("dobbertin", 10, 2), "power"),
+        (FamilySpec("ekp", 10), "quadratic"),
+    ],
+)
+def test_fast_paths_match_scan_on_named_families(spec, path):
+    _check_against_scan(family_poly(spec), path)
+
+
+def test_general_inputs_take_the_scan():
+    cases = [(5, {9: 1, 7: 1}), (5, {7: 1, 3: 1}), (5, {11: 3, 5: 1, 0: 2})]
+    cases.append((4, {25: 0xB, 6: 0xE, 3: 8}))  # rows 1..5 have counts <= 2, row 6 does not
+    for n, terms in cases:
+        f = UniPoly(create_field(n), terms)
+        assert _spectrum_path(f) == "scan"
+        assert is_apn(f) == diff_spectrum(f).is_apn()
+
+
+def test_scan_cap_is_below_the_fast_path_cap():
+    n = SCAN_MAX_N + 1
+    ctx = create_field(n)
+    general = UniPoly(ctx, {7: 1, 3: 1})
+    with pytest.raises(ConstraintViolated, match=f"n <= {SCAN_MAX_N}"):
+        diff_spectrum(general)
+    with pytest.raises(ConstraintViolated, match=f"n <= {SCAN_MAX_N}"):
+        is_apn(general)
+    with pytest.raises(ConstraintViolated, match="full table"):
+        diff_spectrum(UniPoly(ctx, {3: 1}), full=True)
+    assert SCAN_MAX_N < SPECTRUM_MAX_N
+    assert diff_spectrum(UniPoly(ctx, {3: 1})).is_apn()  # gcd(1, 15) = 1
 
 
 def test_prop1_known_cases():

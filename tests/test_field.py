@@ -2,7 +2,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from apnforge.field import _pmod, create_field, is_irreducible, subfield_embedding
+from apnforge.field import (
+    LOG_TABLE_MAX_N,
+    _pmod,
+    create_field,
+    is_irreducible,
+    log_tables,
+    subfield_embedding,
+)
 
 
 def brute_irreducible(m: int) -> bool:
@@ -149,3 +156,20 @@ def test_n_bounds():
         create_field(0)
     with pytest.raises(ValueError):
         create_field(25)
+
+
+@pytest.mark.parametrize("n,modulus", [(1, None), (4, None), (8, None), (8, 0x11D), (10, None)])
+def test_log_tables_invert_each_other_and_multiply(n, modulus):
+    ctx = create_field(n, modulus)
+    exp, log = log_tables(ctx)
+    q = ctx.order
+    assert sorted(exp) == list(range(1, q))  # the generator reaches every nonzero element
+    assert all(log[exp[i]] == i for i in range(q - 1))
+    for a in range(1, q, 7):
+        for b in range(1, q, 5):
+            assert exp[(log[a] + log[b]) % (q - 1)] == ctx.mul(a, b)
+
+
+def test_log_tables_stop_at_their_cap():
+    with pytest.raises(ValueError):
+        log_tables(create_field(LOG_TABLE_MAX_N + 1))

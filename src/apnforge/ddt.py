@@ -18,6 +18,7 @@ from .poly import ConstraintViolated, UniPoly
 
 SPECTRUM_MAX_N = 20
 SCAN_MAX_N = 14
+FULL_MAX_N = 11  # the (a, b) table of x^9+x^7 peaks at 132 MB for n = 11
 PROP1_MAX_N = 7
 POINTS_MAX_N = 8
 
@@ -148,6 +149,10 @@ def _spectrum_path(f: UniPoly, full: bool = False) -> str:
             f"the exhaustive difference scan for {reason} is capped at "
             f"n <= {SCAN_MAX_N}, got {n}"
         )
+    if full and n > FULL_MAX_N:
+        raise ConstraintViolated(
+            f"a full table keeps q^2 counts in memory and is capped at n <= {FULL_MAX_N}, got {n}"
+        )
     return "scan"
 
 
@@ -195,7 +200,8 @@ def diff_spectrum(f: UniPoly, full: bool = False, jobs: int = 1) -> DiffSpectrum
         solutions for each of 2^r values b, r the GF(2)-rank of the linear
         map x -> f(x+a) + f(x) + f(a) + f(0), in O(q n^2);
       - scan (any other f, and every full table): all q^2 pairs (a, x),
-        capped at n <= SCAN_MAX_N; the other paths go up to SPECTRUM_MAX_N.
+        capped at n <= SCAN_MAX_N, and a full table at n <= FULL_MAX_N; the
+        other paths go up to SPECTRUM_MAX_N.
     jobs > 1 splits the scan's nonzero differences across processes, at most
     one per CPU and one per row; rows are keyed by the difference value, so
     the merge cannot depend on worker order.  The other paths run serially.

@@ -25,6 +25,7 @@ from .poly import (
 )
 
 _PLANE_FORMS = ((1, 1, 0), (1, 0, 1), (0, 1, 1))
+PHI_WORK_BUDGET = 1 << 17  # x^513: about 0.4 s and 40 MB
 
 
 @lru_cache(maxsize=None)
@@ -50,8 +51,29 @@ def _sym_power_triples(j: int) -> list[tuple[int, int, int]]:
     return triples
 
 
+def phi_work(f: UniPoly) -> int:
+    """Terms phi_f costs: max(sum of 3^popcount(j) over f's terms, (deg-1)(deg-2)/2).
+
+    The first is the expansion of N_f, the second the size of the quotient,
+    a form of degree deg - 3 in three variables.
+    """
+    deg = f.degree()
+    quotient = (deg - 1) * (deg - 2) // 2 if deg >= 3 else 0
+    return max(sum(3 ** j.bit_count() for j in f.terms), quotient)
+
+
 def numerator_surface(f: UniPoly) -> TriPoly:
-    """N_f(x,y,z) = f(x) + f(y) + f(z) + f(x+y+z)."""
+    """N_f(x,y,z) = f(x) + f(y) + f(z) + f(x+y+z).
+
+    Refuses, before building anything, an f whose phi_work is above
+    PHI_WORK_BUDGET.
+    """
+    work = phi_work(f)
+    if work > PHI_WORK_BUDGET:
+        raise ConstraintViolated(
+            f"the surface of a degree-{f.degree()} polynomial needs about {work} "
+            f"terms, above the budget of {PHI_WORK_BUDGET}"
+        )
     out: dict[tuple[int, int, int], int] = {}
 
     def acc(key, c):

@@ -138,6 +138,26 @@ def test_ddt_scan_cap_exits_3_at_once(capsys, extra):
     assert "capped at n <= 14" in err
 
 
+def test_ddt_full_table_cap_exits_3_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "ddt", "--n", "12", "--poly", "x^9+x^7", "--full")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert "a full table" in err and "capped at n <= 11" in err
+
+
+@pytest.mark.parametrize("j", ["65535", "32769"])
+def test_phi_work_budget_exits_3_at_once(capsys, j):
+    # 3^16 exponent triples for 65535; a quotient of about 5*10^8 terms for 32769
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "phi", "--j", j)
+    assert time.perf_counter() - start < 0.5
+    assert code == 3
+    assert out == ""
+    assert "budget" in err
+
+
 def test_screen_verb_matches_library(capsys):
     code, out, _ = invoke(capsys, "screen", "--n", "5", "--poly", "x^9+x^7")
     assert code == 0

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import apnforge.ddt as ddt_module
 from apnforge.ddt import (
+    FULL_MAX_N,
     SCAN_MAX_N,
     SPECTRUM_MAX_N,
     FamilySpec,
@@ -263,6 +265,19 @@ def test_scan_cap_is_below_the_fast_path_cap():
         diff_spectrum(UniPoly(ctx, {3: 1}), full=True)
     assert SCAN_MAX_N < SPECTRUM_MAX_N
     assert diff_spectrum(UniPoly(ctx, {3: 1})).is_apn()  # gcd(1, 15) = 1
+
+
+def test_full_table_cap_starts_no_scan(monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("started a scan above the full-table cap")
+
+    monkeypatch.setattr(ddt_module, "_spectrum_rows", no_scan)
+    monkeypatch.setattr(UniPoly, "value_table", no_scan)
+    assert FULL_MAX_N < SCAN_MAX_N
+    for f in (UniPoly(create_field(FULL_MAX_N + 1), {9: 1, 7: 1}),
+              UniPoly(create_field(SCAN_MAX_N), {3: 1})):
+        with pytest.raises(ConstraintViolated, match=f"a full table .* n <= {FULL_MAX_N}"):
+            diff_spectrum(f, full=True)
 
 
 def test_prop1_known_cases():

@@ -2,14 +2,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import apnforge.phi as phi_module
 from apnforge.field import create_field
 from apnforge.phi import (
+    PHI_WORK_BUDGET,
     build_phi,
     build_phi_j,
     denominator_surface,
     even_reduction,
     gold_product,
     numerator_surface,
+    phi_work,
 )
 from apnforge.poly import ConstraintViolated, TriPoly, UniPoly, tri_mul
 
@@ -120,3 +123,27 @@ def test_phi_10_is_d_times_phi_5_squared():
 
 def test_phi_6_is_d():
     assert build_phi_j(6, F2) == denominator_surface(F2)
+
+
+def test_phi_work_estimate():
+    # 3^popcount(j) exponent triples per term against the (deg-1)(deg-2)/2
+    # terms of the quotient
+    assert phi_work(UniPoly(F2, {65535: 1})) == max(3**16, 65534 * 65533 // 2)
+    assert phi_work(UniPoly(F2, {255: 1, 7: 1})) == 254 * 253 // 2
+    assert phi_work(UniPoly(F2, {15: 1, 7: 1})) == 81 + 27
+    assert phi_work(UniPoly(F2, {3: 1, 2: 1})) == 9 + 3
+    assert phi_work(UniPoly(F2, {})) == 0
+
+
+def test_phi_work_budget_refuses_before_building(monkeypatch):
+    def no_expansion(j):
+        raise AssertionError("expanded an input over the budget")
+
+    monkeypatch.setattr(phi_module, "_sym_power_triples", no_expansion)
+    # x^513 is the largest monomial inside the budget, x^514 the smallest outside
+    assert phi_work(UniPoly(F2, {513: 1})) <= PHI_WORK_BUDGET < phi_work(UniPoly(F2, {514: 1}))
+    for terms in ({514: 1}, {65535: 1}, {32769: 1, 3: 1}):
+        with pytest.raises(ConstraintViolated, match="budget"):
+            build_phi(UniPoly(F32, terms))
+        with pytest.raises(ConstraintViolated, match="budget"):
+            numerator_surface(UniPoly(F32, terms))

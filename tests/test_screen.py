@@ -1,13 +1,19 @@
 import json
+from collections import Counter
+from functools import lru_cache, reduce
+from operator import xor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apnforge.field import create_field
-from apnforge.phi import build_phi, build_phi_j
-from apnforge.poly import ConstraintViolated, UniPoly, embed_tripoly
+from apnforge.phi import build_phi, build_phi_j, denominator_surface
+from apnforge.poly import ConstraintViolated, UniPoly, _submasks, embed_tripoly
 from apnforge.screen import (
+    _linear_factor_witness,
+    _numerator_vanishes,
+    _substitution_vanishes,
     coprime_bruteforce,
     coprime_gold_formula,
     cubic_divisor_check,
@@ -160,6 +166,173 @@ def test_divisor_scan_symmetry_alpha_to_alpha_plus_one(k):
             assert linear_form_divides(surface, alpha) == linear_form_divides(
                 surface, alpha ^ 1
             ), (k, j, alpha)
+
+
+# --- submask test on N_j against substitution into phi_j ----------------------
+#
+# _numerator_vanishes reads x + a*y + b*z | N_j off N_j's submask
+# coefficients.  The oracle below substitutes into phi_j itself, as
+# _substitution_vanishes does, but keeps a and b as indeterminates, so one
+# expansion per j serves every field and pair.
+
+PLANES = ((1, 0), (0, 1))  # x + y and x + z divide D, hence every N_j
+
+
+@lru_cache(maxsize=None)
+def phi_rows(j):
+    """phi_j(a*y + b*z, y, z) over GF(2)[a, b]: one row per power of y.
+
+    phi_j is homogeneous with coefficients 1, so the term x^e y^c z^w
+    contributes a^s b^(e-s) to the row of y^(s+c) for each submask s of e.
+    A row is the set of exponent pairs (s, e - s) that survive mod 2.
+    """
+    rows: dict[int, set] = {}
+    for (e, c, _w), coeff in build_phi_j(j, F2).terms.items():
+        assert coeff == 1
+        for s in _submasks(e):
+            rows.setdefault(s + c, set()).symmetric_difference_update({(s, e - s)})
+    return tuple(tuple(row) for row in rows.values() if row)
+
+
+@lru_cache(maxsize=None)
+def field_powers(fld):
+    """(a, b) -> (powers of a, powers of b), exponents below 70."""
+    table = [[fld.pow(v, e) for e in range(70)] for v in range(fld.order)]
+    return {(a, b): (table[a], table[b]) for a in range(fld.order) for b in range(fld.order)}
+
+
+def phi_vanishes(fld, j, pa, pb):
+    """x + a*y + b*z divides phi_j, with pa/pb the powers of a and b."""
+    for row in phi_rows(j):
+        acc = 0
+        for s, t in row:
+            acc ^= fld.mul(pa[s], pb[t])
+        if acc:
+            return False
+    return True
+
+
+def test_phi_rows_agree_with_substitution_vanishes():
+    # pins the oracle to the library's substitution into phi_j
+    fld = create_field(2)
+    for j in range(3, 26):
+        surface = embed_tripoly(build_phi_j(j, F2), fld)
+        for alpha in range(fld.order):
+            for beta in range(fld.order):
+                expected = _substitution_vanishes(surface, alpha, beta)
+                got = phi_vanishes(fld, j, *field_powers(fld)[alpha, beta])
+                assert got == expected, (j, alpha, beta)
+    fld = create_field(3)
+    pa, pb = field_powers(fld)[2, 3]
+    for j in range(3, 71):
+        expected = linear_form_divides(embed_tripoly(build_phi_j(j, F2), fld), 2)
+        assert phi_vanishes(fld, j, pa, pb) == expected, j
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_numerator_vanishes_matches_phi_substitution(m):
+    fld = create_field(m)
+    hits = 0
+    for alpha in range(fld.order):
+        for beta in range(fld.order):
+            if (alpha, beta) in PLANES:
+                continue
+            for j in range(3, 71):
+                expected = phi_vanishes(fld, j, *field_powers(fld)[alpha, beta])
+                assert _numerator_vanishes(fld, j, alpha, beta) == expected, (j, alpha, beta)
+                hits += expected
+    assert hits > 0
+
+
+def coprime_via_phi(k, d):
+    """coprime_bruteforce as it was: substitute each Gold form into phi_m.
+
+    Even d = 2^t * m is stripped to its odd core m, since
+    phi_d = D^(2^t-1) * phi_m^(2^t) (tests/test_phi.py) and no Gold form
+    divides D.
+    """
+    ambient = create_field(k)
+    if d & (d - 1) == 0:
+        return False
+    alphas = [a for a in ambient.subfield_elements(k) if a > 1]
+    m = d
+    if d % 2 == 0:
+        m = d // (d & -d)
+        assert not any(linear_form_divides(denominator_surface(ambient), a) for a in alphas)
+    return all(not phi_vanishes(ambient, m, *field_powers(ambient)[a, a ^ 1]) for a in alphas)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_coprime_bruteforce_matches_phi_version(k):
+    # k = 1 has no forms: only the zero surfaces of d = 2^t are not coprime
+    for d in range(3, 66):
+        assert coprime_bruteforce(k, d) == coprime_via_phi(k, d), (k, d)
+
+
+def linear_factor_witness_via_phi(j, max_m):
+    """_linear_factor_witness as it was: slice filters, then full substitution
+    (read from phi_rows).
+
+    Over each GF(2^m): forms x + a*y + b*z whose a kills the z = 0 slice and
+    b the y = 0 slice of phi_j, in lexicographic order; then the x-free
+    forms y + g*z; the form z before any field.
+    """
+    base = build_phi_j(j, F2)
+    if all(c >= 1 for (_a, _b, c) in base.terms):
+        return (1, "z")
+    z_slice = [a for (a, _b, c) in base.terms if c == 0]
+    y_slice = [a for (a, b, _c) in base.terms if b == 0]
+    for m in range(1, max_m + 1):
+        fld = create_field(m)
+        table = [[fld.pow(v, e) for e in range(j)] for v in range(fld.order)]
+
+        def kills(exps, v):
+            acc = 0
+            for e in exps:
+                acc ^= table[v][e]
+            return acc == 0
+
+        za = [v for v in range(fld.order) if kills(z_slice, v)]
+        yb = [v for v in range(fld.order) if kills(y_slice, v)]
+        for alpha in za:
+            for beta in yb:
+                if phi_vanishes(fld, j, table[alpha], table[beta]):
+                    return (m, f"x + {alpha}*y + {beta}*z")
+        for gamma in range(fld.order):
+            acc: dict[tuple[int, int], int] = {}
+            for a, b, c in base.terms:
+                key = (a, b + c)
+                acc[key] = acc.get(key, 0) ^ table[gamma][b]
+            if not any(acc.values()):
+                return (m, f"y + {gamma}*z")
+    return None
+
+
+@pytest.mark.parametrize("top,max_m", [(45, 5), (17, 8)])
+def test_linear_factor_witness_matches_phi_version(top, max_m):
+    for j in range(5, top + 1, 2):
+        expected = linear_factor_witness_via_phi(j, max_m)
+        assert _linear_factor_witness(j, max_m) == expected, j
+
+
+def test_planes_x_free_forms_and_z_never_divide_odd_phi():
+    # the forms _linear_factor_witness leaves out, for odd j <= 129 over GF(4),
+    # which contains GF(2); phi_j is homogeneous with coefficients 1
+    fld = create_field(2)
+    for j in range(5, 130, 2):
+        terms = build_phi_j(j, F2).terms
+        assert any(c == 0 for _a, _b, c in terms), (j, "z")
+        # x = y leaves one term count per power of z, x = z one per power of y
+        assert any(n % 2 for n in Counter(c for _a, _b, c in terms).values()), (j, "x + y")
+        assert any(n % 2 for n in Counter(b for _a, b, _c in terms).values()), (j, "x + z")
+        # y = g*z leaves sum of g^b over the terms x^a y^b z^c, per power a of x
+        by_x: dict[int, list[int]] = {}
+        for a, b, _c in terms:
+            by_x.setdefault(a, []).append(b)
+        for gamma in range(fld.order):
+            assert any(
+                reduce(xor, (fld.pow(gamma, b) for b in bs)) for bs in by_x.values()
+            ), (j, f"y + {gamma}*z")
 
 
 # --- root-of-unity audit -----------------------------------------------------

@@ -20,7 +20,6 @@ SPECTRUM_MAX_N = 20
 SCAN_MAX_N = 14
 FULL_MAX_N = 11  # the (a, b) table of x^9+x^7 peaks at 132 MB for n = 11
 PROP1_MAX_N = 7
-POINTS_MAX_N = 8
 
 
 @dataclass
@@ -323,15 +322,12 @@ def projective_point_count(f: UniPoly) -> int:
     f that is >= 3 and not a power of two.  Its zeros form a cone through the
     origin, so the points at infinity number (affine(x^e) - 1) / (q - 1),
     none when e = 3 (phi_3 = 1).  The difference tables come from
-    diff_spectrum's paths, so x^e costs one row.
+    diff_spectrum's paths, so x^e costs one row, and the paths' caps are the
+    count's caps: an f over them is refused before any table is built.
     If f is additive (every exponent 0 or a power of two), phi_f = 0 and every
     point counts.
     """
     ctx = f.ctx
-    if ctx.n > POINTS_MAX_N:
-        raise ConstraintViolated(
-            f"point counting is capped at n <= {POINTS_MAX_N}, got {ctx.n}"
-        )
     q = ctx.order
     e = max((j for j in f.terms if j >= 3 and j & (j - 1)), default=None)
     if e is None:

@@ -152,8 +152,9 @@ class FieldCtx:
         while e:
             if e & 1:
                 r = self.mul(r, a)
-            a = self.mul(a, a)
             e >>= 1
+            if e:
+                a = self.mul(a, a)
         return r
 
     def inv(self, a: int) -> int:

@@ -433,7 +433,11 @@ def heuristic_phi_certificate(j: int) -> tuple[bool, str]:
     certificate carry heuristic = True.  A linear factor is a form
     x + alpha*y + beta*z that divides N_j = D * phi_j without being a plane
     of D, decided from N_j's submask coefficients (_numerator_vanishes)
-    without building phi_j; only the cubic search builds phi_j over GF(2).
+    without building phi_j.  The cubic stage needs no search: phi_j is
+    homogeneous, so every factor of it is, and of the screened cubics D + P
+    (cubic_divisor_check) only D itself is homogeneous.  D does not divide
+    phi_j for odd j, since x + y does not (see _linear_factor_witness);
+    exhaustive_cubic_search checks this in the tests.
     """
     if j < 3 or j & (j - 1) == 0:
         return False, f"phi_{j} is zero; not absolutely irreducible"
@@ -448,12 +452,6 @@ def heuristic_phi_certificate(j: int) -> tuple[bool, str]:
     if witness is not None:
         m, form = witness
         return False, f"phi_{j} has linear factor {form} over GF(2^{m}); not absolutely irreducible"
-    cubics = exhaustive_cubic_search(build_phi_j(j, create_field(1)))
-    if cubics:
-        return False, (
-            f"phi_{j} has {len(cubics)} cubic divisor(s) of the screened shape; "
-            "not absolutely irreducible"
-        )
     return True, (
         f"phi_{j}: no linear factors over GF(2^m) for m <= 8 and no cubic "
         "divisors of the screened shape; certified heuristically"

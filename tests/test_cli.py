@@ -8,7 +8,7 @@ import pytest
 
 from apnforge.cli import run
 from apnforge.field import create_field
-from apnforge.poly import parse_unipoly
+from apnforge.poly import UniPoly, parse_unipoly
 from apnforge.screen import screen_exceptional
 
 
@@ -145,6 +145,17 @@ def test_ddt_full_table_cap_exits_3_at_once(capsys):
     assert code == 3
     assert out == ""
     assert "a full table" in err and "capped at n <= 11" in err
+
+
+def test_points_scan_cap_exits_3_before_any_table(capsys, monkeypatch):
+    def no_table(*args):
+        raise AssertionError("built a value table above the scan cap")
+
+    monkeypatch.setattr(UniPoly, "value_table", no_table)
+    code, out, err = invoke(capsys, "points", "--n", "15", "--poly", "x^9+x^7")
+    assert code == 3
+    assert out == ""
+    assert "capped at n <= 14" in err
 
 
 @pytest.mark.parametrize("j", ["65535", "32769"])

@@ -415,15 +415,28 @@ def test_projective_count_golden_x9_x7():
         (6, {9: 1, 7: 1}, 5660),
         (7, {9: 1, 7: 1}, 16346),
         (4, {16: 1, 5: 1}, 529),
+        # phi_5 = (x + w*y + w^2*z)(x + w^2*y + w*z), w in GF(4) \ GF(2): two
+        # conjugate planes for odd n, meeting only in the line x = y = z, which
+        # holds q affine points and one at infinity
+        (9, {5: 1}, (1 << 9) + 1),
+        (11, {5: 1}, (1 << 11) + 1),
+        (13, {5: 1}, (1 << 13) + 1),
     ],
 )
 def test_projective_count_goldens(n, terms, expected):
     assert projective_point_count(UniPoly(create_field(n), terms)) == expected
 
 
-def test_projective_count_cap():
-    with pytest.raises(ConstraintViolated):
-        projective_point_count(UniPoly(create_field(9), {9: 1}))
+def test_projective_count_cap(monkeypatch):
+    # the count is capped by what its difference rows cost, not by n alone
+    def no_table(*args):
+        raise AssertionError("built a value table above the cap")
+
+    monkeypatch.setattr(UniPoly, "value_table", no_table)
+    with pytest.raises(ConstraintViolated, match=f"n <= {SCAN_MAX_N}"):
+        projective_point_count(UniPoly(create_field(SCAN_MAX_N + 1), {9: 1, 7: 1}))
+    with pytest.raises(ConstraintViolated, match=f"n <= {SPECTRUM_MAX_N}"):
+        projective_point_count(UniPoly(create_field(SPECTRUM_MAX_N + 1), {9: 1}))
 
 
 def test_projective_count_degenerate_surface():

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from apnforge.field import (
     LOG_TABLE_MAX_N,
+    FieldCtx,
     _pmod,
     create_field,
     is_irreducible,
@@ -80,6 +81,30 @@ def test_inverse_and_pow():
         ctx.inv(0)
     assert ctx.pow(0, 0) == 1
     assert ctx.pow(0, 5) == 0
+
+
+def test_pow_squares_only_while_bits_remain(monkeypatch):
+    # square-and-multiply: one square per bit below the top, one product per set bit
+    ctx = create_field(8)
+    calls = 0
+    mul = FieldCtx.mul
+
+    def counting_mul(self, a, b):
+        nonlocal calls
+        calls += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(FieldCtx, "mul", counting_mul)
+    for a in (0, 1, 2, 0x53, 0xFF):
+        expected = 1
+        for e in range(1, 600):
+            expected = mul(ctx, expected, a)
+            calls = 0
+            assert ctx.pow(a, e) == expected, (a, e)
+            assert calls == e.bit_count() + e.bit_length() - 1, (a, e)
+    calls = 0
+    assert mul(ctx, ctx.inv(0x53), 0x53) == 1
+    assert calls == 2 * ctx.n - 2  # 2^n - 2 has n - 1 set bits and n bits
 
 
 def test_element_order_divides_group_order():

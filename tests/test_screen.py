@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import apnforge.screen as screen_module
+from apnforge.cli import run
 from apnforge.field import create_field
 from apnforge.phi import build_phi, build_phi_j, denominator_surface
 from apnforge.poly import ConstraintViolated, UniPoly, _submasks, embed_tripoly
@@ -407,6 +409,15 @@ def test_cubic_divisor_check_low_degree():
     assert not cubic_divisor_check(build_phi_j(5, F2), (0, 0, 0, 0))
 
 
+def test_cubic_search_on_homogeneous_phi_finds_only_d():
+    # phi_j is homogeneous, so a cubic divisor is too, and D is the only
+    # homogeneous candidate; it divides phi_j for even j and never for odd j
+    for j in range(5, 46, 2):
+        assert exhaustive_cubic_search(build_phi_j(j, F2)) == [], j
+    for j in (6, 10, 12, 14):
+        assert exhaustive_cubic_search(build_phi_j(j, F2)) == [(0, 0, 0, 0)], j
+
+
 # --- minimum field bound -----------------------------------------------------
 
 
@@ -449,6 +460,40 @@ def test_certificate_rejects_even_and_degenerate():
     )
     assert not heuristic_phi_certificate(4)[0]
     assert not heuristic_phi_certificate(3)[0]
+
+
+def test_certificate_builds_no_surface(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the certificate built a surface or searched cubics")
+
+    accepted = (
+        "no linear factors over GF(2^m) for m <= 8 and no cubic divisors of "
+        "the screened shape; certified heuristically"
+    )
+    expected = {j: (True, f"phi_{j}: {accepted}") for j in (7, 13, 15, 1001)}
+    expected[9] = (
+        False,
+        "phi_9 has linear factor x + 2*y + 3*z over GF(2^3); not absolutely irreducible",
+    )
+    heuristic_phi_certificate.cache_clear()
+    monkeypatch.setattr(screen_module, "build_phi_j", unreachable)
+    monkeypatch.setattr(screen_module, "exhaustive_cubic_search", unreachable)
+    try:
+        for j, want in expected.items():
+            assert heuristic_phi_certificate(j) == want
+    finally:
+        heuristic_phi_certificate.cache_clear()
+
+
+def test_screen_cli_kasami_term_above_surface_budget(capsys):
+    # phi_1001 is far above PHI_WORK_BUDGET; the certificate never builds it
+    code = run(["screen", "--n", "5", "--poly", "x^4033+x^1001"])
+    out = capsys.readouterr().out
+    assert code == 0
+    verdict = json.loads(out)
+    assert verdict["status"] == "NotExceptional"
+    assert verdict["theorem"] == "Thm 9"
+    assert verdict["heuristic"] is True
 
 
 # --- screening ---------------------------------------------------------------

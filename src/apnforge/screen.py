@@ -9,8 +9,8 @@ replayable trace.
 
 Theorem identifiers ("Thm 2" .. "Thm 12") name entries of the rule catalog in
 the package README; each rule is an arithmetic statement about degrees and
-surface coprimality, and every verdict carries the inputs needed to re-derive
-it.
+surface coprimality.  replay_trace checks each trace entry's claim about f's
+degrees and re-derives the whole verdict from f.
 """
 
 from __future__ import annotations
@@ -357,7 +357,7 @@ def exhaustive_cubic_search(
 
     # affine-chart samples (x, y, 1) with phi != 0; for those points a
     # dividing cubic can never vanish
-    probes: list[tuple[int, int, int, int, int]] = []
+    probes: list[tuple[int, int, int, int]] = []
     for x in range(ext.order):
         for y in range(ext.order):
             if lifted.eval(x, y, 1) == 0:
@@ -366,7 +366,7 @@ def exhaustive_cubic_search(
             s2 = ext.sqr(x) ^ ext.sqr(y) ^ 1
             s11 = ext.mul(x, y) ^ x ^ y
             s1 = x ^ y ^ 1
-            probes.append((dval, s2, s11, s1, 0))
+            probes.append((dval, s2, s11, s1))
 
     found: list[tuple[int, int, int, int]] = []
     order = ext.order
@@ -376,7 +376,7 @@ def exhaustive_cubic_search(
             for b1 in range(order):
                 for d in range(order):
                     ok = True
-                    for dval, s2, s11, s1, _ in probes:
+                    for dval, s2, s11, s1 in probes:
                         if dval ^ mul(c1, s2) ^ mul(c4, s11) ^ mul(b1, s1) ^ d == 0:
                             ok = False
                             break
@@ -517,12 +517,13 @@ def _scan_terms(k: int, degrees: list[int]) -> tuple[int | None, str]:
     return hit, "; ".join(results) + "; " + tail
 
 
-def _boundary_label(h: UniPoly, k: int, n: int) -> str:
+def _boundary_shape(h: UniPoly, k: int, n: int) -> tuple[bool, str]:
+    """(whether Thm 6 applies: k odd, gcd(k, n) = 1, h not the excluded shape; label)."""
     head = "deg h at the boundary 2^(k-1)+2"
     if k % 2 == 0:
-        return f"{head} but k is even"
+        return False, f"{head} but k is even"
     if gcd(k, n) != 1:
-        return f"{head} but gcd(k, n) > 1"
+        return False, f"{head} but gcd(k, n) > 1"
     boundary = (1 << (k - 1)) + 2
     lead = h.terms.get(boundary, 0)
     excluded = (
@@ -531,28 +532,8 @@ def _boundary_label(h: UniPoly, k: int, n: int) -> str:
         and h.terms[3] == h.ctx.sqr(lead)
     )
     if excluded:
-        return f"{head}; h matches the excluded two-term shape a*x^(2^(k-1)+2) + a^2*x^3"
-    return f"{head}; k odd and coprime to n; h avoids the excluded two-term shape"
-
-
-def _even_boundary_label(k: int) -> str:
-    return (
-        f"deg f = 2^{k}+1 and deg h = 2^{k - 1}+2 match the even boundary; "
-        "no term passed the coprimality scan"
-    )
-
-
-def _obstruction_label(top: int, core: int) -> str:
-    return (
-        f"phi_{top} = D*phi_{core}^2 and phi_{core} shares linear factors with "
-        "the leading product over GF(2^2); the coprimality hypothesis cannot "
-        "hold for the boundary term"
-    )
-
-
-def _catalog_label(d: int) -> str:
-    monomial = "x^3" if d == 12 else "x^5"
-    return f"functions of degree {d} are not exceptional or are CCZ equivalent to {monomial}"
+        return False, f"{head}; h matches the excluded two-term shape a*x^(2^(k-1)+2) + a^2*x^3"
+    return True, f"{head}; k odd and coprime to n; h avoids the excluded two-term shape"
 
 
 def screen_exceptional(f: UniPoly) -> Verdict:
@@ -660,20 +641,24 @@ def screen_exceptional(f: UniPoly) -> Verdict:
             return Verdict("NotExceptional", "Thm 5", False, trace)
         boundary = (1 << (k - 1)) + 2
         if dh == boundary:
-            label = _boundary_label(h, k, ctx.n)
+            avoids, label = _boundary_shape(h, k, ctx.n)
             note("boundary_shape", {"k": k, "h_degree": dh, "n": ctx.n}, label)
-            if label.endswith("avoids the excluded two-term shape"):
+            if avoids:
                 return Verdict("NotExceptional", "Thm 6", False, trace)
             if k % 2 == 0:
                 note(
                     "even_boundary_shape",
                     {"k2": k // 2, "h_degree": dh},
-                    _even_boundary_label(k),
+                    f"deg f = 2^{k}+1 and deg h = 2^{k - 1}+2 match the even boundary; "
+                    "no term passed the coprimality scan",
                 )
+                core = dh // 2
                 note(
                     "boundary_term_obstruction",
-                    {"top_degree": dh, "odd_core": dh // 2},
-                    _obstruction_label(dh, dh // 2),
+                    {"top_degree": dh, "odd_core": core},
+                    f"phi_{dh} = D*phi_{core}^2 and phi_{core} shares linear factors with "
+                    "the leading product over GF(2^2); the coprimality hypothesis cannot "
+                    "hold for the boundary term",
                 )
 
     if kw is not None and not work.is_monomial():
@@ -696,119 +681,83 @@ def screen_exceptional(f: UniPoly) -> Verdict:
                     return Verdict("NotExceptional", "Thm 9", True, trace)
 
     if d in (12, 20):
-        note("degree_catalog", {"degree": d}, _catalog_label(d))
+        monomial = "x^3" if d == 12 else "x^5"
+        note(
+            "degree_catalog",
+            {"degree": d},
+            f"functions of degree {d} are not exceptional or are CCZ equivalent to {monomial}",
+        )
         return Verdict("Informational", None, False, trace)
     note("fallback", {"degree": d}, "no applicable criterion")
     return Verdict("Inconclusive", None, False, trace)
 
 
-def _replay_entry(work: UniPoly, original: UniPoly, entry: dict) -> bool:
-    test, inputs, outcome = entry["test"], entry["inputs"], entry["outcome"]
-    ctx = work.ctx
-    d = work.degree()
-    if test == "monic_normalization":
-        return (
-            original.leading_coeff() == inputs["leading_coeff"]
-            and inputs["leading_coeff"] != 1
-            and outcome == "scaled to a monic representative"
-        )
-    if test == "monomial_family":
-        return (
-            work.is_monomial()
-            and d == inputs["degree"]
-            and outcome == _family_label(d)
-        )
-    if test == "odd_degree_family_check":
-        dd = inputs["degree"]
-        return (
-            dd == d
-            and dd % 2 == 1
-            and gold_param(dd) is None
-            and kasami_param(dd) is None
-            and outcome == "odd, not a Gold number, not a Kasami-Welch number"
-        )
-    if test == "even_degree_odd_term":
-        dd, e = inputs["degree"], inputs["e"]
-        odd_terms = [j for j in sorted(work.terms) if j % 2]
-        expected = (
-            f"odd-degree term of degree {odd_terms[-1]} present"
-            if odd_terms
-            else "no odd-degree term present"
-        )
-        return dd == 2 * e and e % 2 == 1 and outcome == expected
-    if test == "cubic_divisor_search":
-        if inputs["q"] != ctx.order or inputs["degree"] != 4 * inputs["e"]:
-            return False
-        if ctx.order > 4:
-            return outcome == "skipped; exhaustive search requires q <= 4"
-        found = exhaustive_cubic_search(build_phi(work))
-        expected = (
-            "no divisor of the cubic shape"
-            if not found
-            else f"{len(found)} cubic divisor(s) found"
-        )
-        return outcome == expected
-    if test == "gold_decomposition":
-        k, dd, dh = inputs["k"], inputs["degree"], inputs["h_degree"]
-        h = work + UniPoly(ctx, {dd: 1})
-        return gold_param(dd) == k and h.degree() == dh and outcome == f"x^{dd} + h with deg h = {dh}"
-    if test == "coprimality_formula":
-        if "d" in inputs:
-            return outcome == _formula_label(inputs["k"], inputs["d"])
-        return outcome == "not applicable; deg h is even or below 3"
-    if test == "per_term_coprimality":
-        _, detail = _scan_terms(inputs["k"], list(inputs["term_degrees"]))
-        return outcome == detail
-    if test == "boundary_shape":
-        h = work + UniPoly(ctx, {d: 1})
-        return (
-            inputs["h_degree"] == h.degree() == (1 << (inputs["k"] - 1)) + 2
-            and outcome == _boundary_label(h, inputs["k"], inputs["n"])
-        )
-    if test == "even_boundary_shape":
-        k2, dh = inputs["k2"], inputs["h_degree"]
-        return (
-            d == (1 << (2 * k2)) + 1
-            and dh == (1 << (2 * k2 - 1)) + 2
-            and outcome == _even_boundary_label(2 * k2)
-        )
-    if test == "boundary_term_obstruction":
-        top, core = inputs["top_degree"], inputs["odd_core"]
-        return (
-            top == 2 * core
-            and core % 2 == 1
-            and gold_param(core) is not None
-            and outcome == _obstruction_label(top, core)
-        )
-    if test == "kasami_decomposition":
-        kk, dd, dg, bound = (
-            inputs["k"],
-            inputs["degree"],
-            inputs["g_degree"],
-            inputs["bound"],
-        )
-        g = work + UniPoly(ctx, {dd: 1})
-        if kasami_param(dd) != kk or g.degree() != dg:
-            return False
-        if bound != (1 << (2 * kk - 1)) - (1 << (kk - 1)) + 1:
-            return False
-        expected = "deg g within the bound" if dg <= bound else "deg g exceeds the bound"
-        return outcome == expected
-    if test == "irreducibility_certificate":
-        _, summary = heuristic_phi_certificate(inputs["j"])
-        return outcome == summary
-    if test == "degree_catalog":
-        return inputs["degree"] in (12, 20) and outcome == _catalog_label(inputs["degree"])
-    if test == "fallback":
-        return outcome == "no applicable criterion"
-    return False
+def _in_family(d: int) -> bool:
+    return gold_param(d) is not None or kasami_param(d) is not None
+
+
+# The claim each trace entry makes about its inputs, checked against f alone
+# and independently of screen_exceptional: d = deg f, and t = deg h for
+# f = c*x^d + h (-1 for a monomial).  This rejects an entry the screen itself
+# records wrongly: for a*x^5 + c*x^4, boundary_term_obstruction names core 2,
+# which is not a Gold exponent.
+_PRECONDITIONS = {
+    "monic_normalization": lambda f, d, t, i: i["leading_coeff"] == f.terms[d] != 1,
+    "monomial_family": lambda f, d, t, i: t < 0 and i["degree"] == d and _in_family(d),
+    "odd_degree_family_check": lambda f, d, t, i: (
+        i["degree"] == d and d % 2 == 1 and not _in_family(d)
+    ),
+    "even_degree_odd_term": lambda f, d, t, i: i["degree"] == d == 2 * i["e"] and i["e"] % 2 == 1,
+    "cubic_divisor_search": lambda f, d, t, i: (
+        i["degree"] == d == 4 * i["e"] and i["e"] % 4 == 3 and i["q"] == f.ctx.order
+    ),
+    "gold_decomposition": lambda f, d, t, i: (
+        i["degree"] == d and gold_param(d) == i["k"] and i["h_degree"] == t
+    ),
+    "coprimality_formula": lambda f, d, t, i: (
+        gold_param(d) == i["k"]
+        and (i["d"] if "d" in i else i["h_degree"]) == t
+        and ("d" in i) == (t >= 3 and t % 2 == 1)
+    ),
+    "per_term_coprimality": lambda f, d, t, i: (
+        gold_param(d) == i["k"]
+        and i["term_degrees"]
+        == [j for j in sorted(f.terms) if j != d and 3 <= j <= BRUTEFORCE_DEGREE_CAP]
+    ),
+    "boundary_shape": lambda f, d, t, i: (
+        gold_param(d) == i["k"]
+        and i["h_degree"] == t == (1 << (i["k"] - 1)) + 2
+        and i["n"] == f.ctx.n
+    ),
+    "even_boundary_shape": lambda f, d, t, i: (
+        d == (1 << (2 * i["k2"])) + 1 and i["h_degree"] == t == (1 << (2 * i["k2"] - 1)) + 2
+    ),
+    "boundary_term_obstruction": lambda f, d, t, i: (
+        i["top_degree"] == t == 2 * i["odd_core"] and gold_param(i["odd_core"]) is not None
+    ),
+    "kasami_decomposition": lambda f, d, t, i: (
+        i["degree"] == d
+        and kasami_param(d) == i["k"]
+        and i["g_degree"] == t
+        and i["bound"] == (1 << (2 * i["k"] - 1)) - (1 << (i["k"] - 1)) + 1
+    ),
+    "irreducibility_certificate": lambda f, d, t, i: i["j"] in f.terms and 3 <= i["j"] < d,
+    "degree_catalog": lambda f, d, t, i: i["degree"] == d in (12, 20),
+    "fallback": lambda f, d, t, i: i["degree"] == d,
+}
 
 
 def replay_trace(f: UniPoly, verdict: Verdict) -> bool:
-    """Independently re-run every trace entry of a verdict from its inputs.
+    """True iff the verdict follows from f.
 
-    Returns True iff each recorded outcome is reproduced; this is the sense
-    in which a NotExceptional verdict is a checkable certificate.
+    Each trace entry's precondition must hold for f (_PRECONDITIONS), and
+    screen_exceptional(f) must re-derive the verdict exactly: status,
+    theorem, heuristic flag and every trace entry.  So a verdict cannot be
+    relabelled, stripped of its trace or given other inputs, and a
+    NotExceptional verdict is a certificate checkable from f alone.
     """
-    work = f.monic() if f.leading_coeff() != 1 else f
-    return all(_replay_entry(work, f, entry) for entry in verdict.trace)
+    if screen_exceptional(f) != verdict:
+        return False
+    *rest, d = sorted(f.terms)
+    t = rest[-1] if rest else -1
+    return all(_PRECONDITIONS[e["test"]](f, d, t, e["inputs"]) for e in verdict.trace)

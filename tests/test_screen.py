@@ -13,6 +13,7 @@ from apnforge.field import create_field
 from apnforge.phi import build_phi, build_phi_j, denominator_surface
 from apnforge.poly import ConstraintViolated, UniPoly, _submasks, embed_tripoly
 from apnforge.screen import (
+    Verdict,
     _linear_factor_witness,
     _numerator_vanishes,
     _substitution_vanishes,
@@ -534,6 +535,19 @@ def test_screen_thm9_heuristic():
     assert verdict.heuristic is True
 
 
+@pytest.mark.parametrize(
+    "n,status,theorem", [(5, "NotExceptional", "Thm 6"), (9, "Inconclusive", None)]
+)
+def test_screen_thm6_boundary_shape(n, status, theorem):
+    # k = 9: the boundary term x^258 lies above the scan cap, so only the
+    # boundary shape can decide, and it needs gcd(k, n) = 1
+    f = UniPoly(create_field(n), {513: 1, 258: 1})
+    verdict = screen_exceptional(f)
+    assert (verdict.status, verdict.theorem) == (status, theorem)
+    assert [e["test"] for e in verdict.trace].count("boundary_shape") == 1
+    assert replay_trace(f, verdict)
+
+
 def test_screen_boundary_obstruction_entry():
     verdict = screen_exceptional(UniPoly(F32, {17: 1, 10: 1}))
     tests = [e["test"] for e in verdict.trace]
@@ -582,6 +596,65 @@ REGRESSION_TERMS = (
 def test_replay_reproduces_every_trace_entry(terms):
     f = UniPoly(F32, terms)
     assert replay_trace(f, screen_exceptional(f))
+
+
+@pytest.mark.parametrize("terms", REGRESSION_TERMS)
+def test_replay_accepts_json_round_trip(terms):
+    f = UniPoly(F32, terms)
+    verdict = screen_exceptional(f)
+    assert replay_trace(f, Verdict(**json.loads(verdict.to_json())))
+
+
+# Forged verdicts for x^17 + x^5, which screens Inconclusive.  Each keeps
+# every entry's outcome consistent with that entry's own inputs, so only a
+# replay tied to f and to the verdict rejects it.
+@pytest.mark.parametrize(
+    "forge",
+    [
+        lambda v: Verdict("ConjecturedExceptional", None, False, v.trace),
+        lambda v: Verdict("NotExceptional", "Thm 2", False, []),
+        lambda v: Verdict(
+            "NotExceptional",
+            "Thm 5",
+            False,
+            v.trace[:2]
+            + [
+                {
+                    "test": "per_term_coprimality",
+                    "inputs": {"k": 4, "term_degrees": [7]},
+                    "outcome": "7: coprime; term 7 certifies",
+                }
+            ],
+        ),
+    ],
+    ids=["relabelled", "empty_trace", "rewritten_scan_inputs"],
+)
+def test_replay_rejects_forged_verdict(forge):
+    f = UniPoly(F32, {17: 1, 5: 1})
+    verdict = screen_exceptional(f)
+    assert verdict.status == "Inconclusive"
+    assert [e["test"] for e in verdict.trace[:3]] == [
+        "gold_decomposition",
+        "coprimality_formula",
+        "per_term_coprimality",
+    ]
+    assert not replay_trace(f, forge(verdict))
+
+
+def test_replay_rejects_screens_own_k2_obstruction():
+    """Replay's precondition check is live: it rejects the screen's own trace.
+
+    For x^5 + x^4 over GF(2^5) (k = 2) the screen records a
+    boundary_term_obstruction entry with odd_core 2, which is not an odd Gold
+    exponent (phi of the boundary term x^4 is zero).  The k = 2 boundary fix,
+    ROADMAP item 1, drops that entry from the screen and flips this
+    expectation to True.
+    """
+    f = UniPoly(F32, {5: 1, 4: 1})
+    verdict = screen_exceptional(f)
+    obstruction = [e for e in verdict.trace if e["test"] == "boundary_term_obstruction"]
+    assert [e["inputs"] for e in obstruction] == [{"top_degree": 4, "odd_core": 2}]
+    assert not replay_trace(f, verdict)
 
 
 @settings(max_examples=40, deadline=None)

@@ -135,7 +135,7 @@ def _cmd_phi(args) -> int:
     if (args.j is None) == (args.poly is None):
         raise ConstraintViolated("give exactly one of --j or --poly")
     if args.j is not None:
-        ctx = create_field(args.n or 1, args.modulus)
+        ctx = create_field(1 if args.n is None else args.n, args.modulus)
         surface = build_phi_j(args.j, ctx)
         payload = {"j": args.j, "surface": surface.render()}
     else:
@@ -153,7 +153,7 @@ def _cmd_phi(args) -> int:
 
 
 def _cmd_gold(args) -> int:
-    n = args.n or args.k
+    n = args.k if args.n is None else args.n
     ctx = create_field(n, args.modulus)
     product = gold_product(args.k, ctx)
     d = (1 << args.k) + 1
@@ -168,7 +168,7 @@ def _cmd_gold(args) -> int:
 
 
 def _cmd_coprime(args) -> int:
-    ambient = create_field(args.n) if args.n else None
+    ambient = None if args.n is None else create_field(args.n)
     formula = coprime_gold_formula(args.k, args.d) if args.d % 2 else None
     brute = coprime_bruteforce(args.k, args.d, ambient)
     payload = {
@@ -216,7 +216,7 @@ def _cmd_points(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    ambient = create_field(args.n) if args.n else None
+    ambient = None if args.n is None else create_field(args.n)
     report = root_of_unity_audit(args.k, args.m, ambient)
     payload = report.to_json()
     payload["clean"] = report.clean

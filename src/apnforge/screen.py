@@ -21,16 +21,15 @@ from functools import lru_cache
 from math import gcd
 
 from .field import FieldCtx, create_field, subfield_embedding
-from .phi import build_phi, build_phi_j, denominator_surface
+from .phi import build_phi, denominator_surface
 from .poly import (
     ConstraintViolated,
+    NotDivisible,
     TriPoly,
     UniPoly,
     _submasks,
     embed_tripoly,
-    linear_form,
-    shift_xy,
-    tri_mul,
+    exact_div_linear,
 )
 
 BRUTEFORCE_DEGREE_CAP = 1 << 8
@@ -63,66 +62,29 @@ def kasami_param(d: int) -> int | None:
         k += 1
 
 
-def _substitution_vanishes(p: TriPoly, alpha: int, beta: int) -> bool:
-    # p(alpha*y + beta*z, y, z) == 0; binomials mod 2 collapse to submasks
-    ctx = p.ctx
-    pow_a: dict[int, int] = {0: 1}
-    pow_b: dict[int, int] = {0: 1}
-
-    def pw(table, base, e):
-        v = table.get(e)
-        if v is None:
-            v = ctx.pow(base, e)
-            table[e] = v
-        return v
-
-    acc: dict[tuple[int, int], int] = {}
-    for (a, b, c), coeff in p.terms.items():
-        for s in _submasks(a):
-            w = ctx.mul(coeff, ctx.mul(pw(pow_a, alpha, s), pw(pow_b, beta, a - s)))
-            if not w:
-                continue
-            key = (s + b, (a - s) + c)
-            r = acc.get(key, 0) ^ w
-            if r:
-                acc[key] = r
-            elif key in acc:
-                del acc[key]
-    return not acc
+def _form_divides(p: TriPoly, form: tuple[int, int, int]) -> bool:
+    try:
+        exact_div_linear(p, form)
+    except NotDivisible:
+        return False
+    return True
 
 
 def linear_form_divides(p: TriPoly, alpha: int) -> bool:
     """True iff (x + alpha*y + (alpha+1)*z) divides p.
 
-    A degree-1 form divides p iff it divides every homogeneous part, and it
-    divides a homogeneous part iff substituting x = alpha*y + (alpha+1)*z
-    makes the part vanish identically.
+    Decided by exact division (poly.exact_div_linear): synthetic division in
+    x leaves a zero remainder exactly when the form divides p.
     """
-    p.ctx.validate(alpha)
-    beta = alpha ^ 1
-    return all(
-        _substitution_vanishes(part, alpha, beta)
-        for part in p.homogeneous_parts().values()
-    )
+    return _form_divides(p, (1, alpha, alpha ^ 1))
 
 
 def shifted_form_divides(p: TriPoly, alpha: int) -> bool:
-    """True iff (x + alpha*y) divides the z-free polynomial p.
-
-    Works on images of shift_xy: each homogeneous part F_r must satisfy
-    F_r(alpha, 1) = 0.
-    """
-    ctx = p.ctx
-    ctx.validate(alpha)
-    for part in p.homogeneous_parts().values():
-        acc = 0
-        for (a, b, c), coeff in part.terms.items():
-            if c:
-                raise ConstraintViolated("the bivariate test needs a z-free polynomial")
-            acc ^= ctx.mul(coeff, ctx.pow(alpha, a))
-        if acc:
-            return False
-    return True
+    """True iff (x + alpha*y) divides the z-free polynomial p (an image of
+    shift_xy), decided by exact division like linear_form_divides."""
+    if any(c for (_a, _b, c) in p.terms):
+        raise ConstraintViolated("the bivariate test needs a z-free polynomial")
+    return _form_divides(p, (1, alpha, 0))
 
 
 def coprime_gold_formula(k: int, d: int) -> bool:
@@ -160,7 +122,7 @@ def coprime_bruteforce(k: int, d: int, ambient: FieldCtx | None = None) -> bool:
     it divides N_d = D * phi_d, for every d, even d included.  The scan
     substitutes each form into N_d and reads off one coefficient per submask
     of d, without building either surface.  linear_form_divides, which
-    substitutes into phi_d itself, is the independent oracle in the tests.
+    divides phi_d itself by the form, is the independent oracle in the tests.
     """
     if d < 3:
         raise ConstraintViolated(f"d must be at least 3, got {d}")
@@ -214,9 +176,14 @@ def root_of_unity_audit(k: int, m: int, ambient: FieldCtx | None = None) -> Audi
     f(x, y) = shifted(phi_m) * x * y * (x+y), every homogeneous component
     F_r must vanish at (a*y, y).  The two top components force
     a^l + (a+1)^l = 1 and a^(l+1) + (a+1)^(l+1) = 1, which make a and a+1
-    (l-1)-th roots of unity; the component of degree m - (2^i + 1) then
-    evaluates to y^(m-2^i-1), which does not vanish.  The audit re-runs that
-    chain for every candidate a and reports any break.
+    (l-1)-th roots of unity; the component of degree r = m - (2^i + 1) then
+    evaluates to y^r, which does not vanish.  The audit re-runs that chain
+    for every candidate a and reports any break.
+
+    No surface is built: f = N_m(x+1, y+1, 1), since the shift sends
+    D = (x+y)(x+z)(y+z) to (x+y)*x*y, so
+    F_r = C(m, r) * (x^r + y^r + (x+y)^r) and F_r(a, 1) is
+    C(m, r) * (a^r + (a+1)^r + 1), with C(m, r) mod 2 from lucas_mod2.
     """
     if m < 3 or m % 2 == 0:
         raise ConstraintViolated(f"m must be odd and at least 3, got {m}")
@@ -228,11 +195,7 @@ def root_of_unity_audit(k: int, m: int, ambient: FieldCtx | None = None) -> Audi
     l = (m - 1) >> i
     if l == 1:
         return AuditReport(k, m, i, l, True, (), ())
-
-    shifted = shift_xy(build_phi_j(m, ambient))
-    wrap = tri_mul(linear_form(ambient, 1, 0, 0), linear_form(ambient, 0, 1, 0))
-    wrap = tri_mul(wrap, linear_form(ambient, 1, 1, 0))
-    low = tri_mul(shifted, wrap).homogeneous_parts().get(m - (1 << i) - 1)
+    r = m - (1 << i) - 1
 
     entrants: list[int] = []
     violations: list[tuple[int, str]] = []
@@ -251,13 +214,10 @@ def root_of_unity_audit(k: int, m: int, ambient: FieldCtx | None = None) -> Audi
         if ambient.pow(other, l - 1) != 1:
             violations.append((alpha, "alpha+1 not an (l-1)-th root of unity"))
             continue
-        if low is None:
+        if not lucas_mod2(m, r):
             violations.append((alpha, "low component missing"))
             continue
-        val = 0
-        for (a, _b, _c), coeff in low.terms.items():
-            val ^= ambient.mul(coeff, ambient.pow(alpha, a))
-        if val != 1:
+        if ambient.pow(alpha, r) ^ ambient.pow(other, r) ^ 1 != 1:
             violations.append((alpha, "low component vanished"))
     return AuditReport(k, m, i, l, False, tuple(entrants), tuple(violations))
 
@@ -317,8 +277,6 @@ def _trial_division_divides(p: TriPoly, divisor: TriPoly) -> bool:
 def _lift_to_extension(phi: TriPoly, ext: FieldCtx) -> TriPoly:
     if phi.ctx == ext:
         return phi
-    if all(c <= 1 for c in phi.terms.values()):
-        return embed_tripoly(phi, ext)
     return embed_tripoly(phi, ext, subfield_embedding(phi.ctx, ext))
 
 

@@ -219,6 +219,23 @@ def test_usage_error_exit_2_with_example(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["audit", "--k", "2", "--m", "7"],
+        ["coprime", "--k", "2", "--d", "5"],
+        ["gold", "--k", "2"],
+        ["phi", "--j", "5"],
+    ],
+    ids=["audit", "coprime", "gold", "phi"],
+)
+def test_n_zero_is_domain_error(capsys, argv):
+    code, out, err = invoke(capsys, *argv, "--n", "0")
+    assert code == 3
+    assert out == ""
+    assert "n must be in 1..24, got 0" in err
+
+
 def test_domain_error_exit_3(capsys):
     code, _, err = invoke(capsys, "ddt", "--n", "4", "--poly", "x^^2")
     assert code == 3
@@ -257,14 +274,15 @@ def test_jobs_below_one_is_usage_error(capsys, verb, jobs):
     assert "--jobs" in err and "example:" in err
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_ekp_scan_jobs_below_one_is_usage_error(monkeypatch, capsys, jobs):
+def test_ekp_scan_full_run(monkeypatch, capsys):
     script = Path(__file__).resolve().parents[1] / "scripts" / "ekp_u_scan.py"
-    monkeypatch.setattr(sys, "argv", [str(script), "--jobs", jobs])
+    monkeypatch.setattr(sys, "argv", [str(script)])
     with pytest.raises(SystemExit) as exc:
         runpy.run_path(str(script), run_name="__main__")
-    assert exc.value.code == 2
-    assert "--jobs must be at least 1" in capsys.readouterr().err
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 62
+    assert all(line.endswith("  ok") for line in lines)
 
 
 def test_verify_lucas_suite(capsys):

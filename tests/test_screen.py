@@ -11,12 +11,23 @@ import apnforge.screen as screen_module
 from apnforge.cli import run
 from apnforge.field import create_field
 from apnforge.phi import build_phi, build_phi_j, denominator_surface
-from apnforge.poly import ConstraintViolated, UniPoly, _submasks, embed_tripoly
+from apnforge.poly import (
+    ConstraintViolated,
+    NotDivisible,
+    TriPoly,
+    UniPoly,
+    _submasks,
+    embed_tripoly,
+    exact_div_linear,
+    linear_form,
+    shift_xy,
+    tri_mul,
+)
 from apnforge.screen import (
+    AuditReport,
     Verdict,
     _linear_factor_witness,
     _numerator_vanishes,
-    _substitution_vanishes,
     coprime_bruteforce,
     coprime_gold_formula,
     cubic_divisor_check,
@@ -29,6 +40,7 @@ from apnforge.screen import (
     replay_trace,
     root_of_unity_audit,
     screen_exceptional,
+    shifted_form_divides,
     theorem1_min_field,
 )
 
@@ -155,6 +167,18 @@ def test_gold_factors_divide_gold_surface():
             assert divides == (alpha not in (0, 1)), (k, alpha)
 
 
+def test_shifted_form_divides_matches_unshifted_form():
+    # the shift x -> x+1, y -> y+1, z -> 1 sends x + a*y + (a+1)*z to x + a*y
+    for k in (2, 3):
+        ctx = create_field(k)
+        surface = build_phi_j((1 << k) + 1, ctx)
+        shifted = shift_xy(surface)
+        for alpha in range(ctx.order):
+            assert shifted_form_divides(shifted, alpha) == linear_form_divides(surface, alpha)
+    with pytest.raises(ConstraintViolated):
+        shifted_form_divides(surface, 2)
+
+
 def test_linear_form_divides_rejects_garbage():
     surface = build_phi_j(5, create_field(2))
     assert linear_form_divides(surface, 0) is False
@@ -174,9 +198,9 @@ def test_divisor_scan_symmetry_alpha_to_alpha_plus_one(k):
 # --- submask test on N_j against substitution into phi_j ----------------------
 #
 # _numerator_vanishes reads x + a*y + b*z | N_j off N_j's submask
-# coefficients.  The oracle below substitutes into phi_j itself, as
-# _substitution_vanishes does, but keeps a and b as indeterminates, so one
-# expansion per j serves every field and pair.
+# coefficients.  The oracle below substitutes into phi_j itself but keeps
+# a and b as indeterminates, so one expansion per j serves every field and
+# pair.
 
 PLANES = ((1, 0), (0, 1))  # x + y and x + z divide D, hence every N_j
 
@@ -216,13 +240,17 @@ def phi_vanishes(fld, j, pa, pb):
 
 
 def test_phi_rows_agree_with_substitution_vanishes():
-    # pins the oracle to the library's substitution into phi_j
+    # pins the oracle to the library's exact division of phi_j by the form
     fld = create_field(2)
     for j in range(3, 26):
         surface = embed_tripoly(build_phi_j(j, F2), fld)
         for alpha in range(fld.order):
             for beta in range(fld.order):
-                expected = _substitution_vanishes(surface, alpha, beta)
+                try:
+                    exact_div_linear(surface, (1, alpha, beta))
+                    expected = True
+                except NotDivisible:
+                    expected = False
                 got = phi_vanishes(fld, j, *field_powers(fld)[alpha, beta])
                 assert got == expected, (j, alpha, beta)
     fld = create_field(3)
@@ -373,6 +401,76 @@ def test_audit_requires_odd_m():
         root_of_unity_audit(2, 8)
 
 
+def audit_via_surface(k, m, ambient):
+    """root_of_unity_audit as it was: build phi_m, shift it, multiply by
+    x*y*(x+y) and evaluate the component of degree m - 2^i - 1 at (a, 1)."""
+    i = ((m - 1) & -(m - 1)).bit_length() - 1
+    l = (m - 1) >> i
+    if l == 1:
+        return AuditReport(k, m, i, l, True, (), ())
+    wrap = tri_mul(linear_form(ambient, 1, 0, 0), linear_form(ambient, 0, 1, 0))
+    wrap = tri_mul(wrap, linear_form(ambient, 1, 1, 0))
+    shifted = tri_mul(shift_xy(build_phi_j(m, ambient)), wrap)
+    low = shifted.homogeneous_parts().get(m - (1 << i) - 1)
+    entrants, violations = [], []
+    for alpha in ambient.subfield_elements(k):
+        if alpha < 2:
+            continue
+        other = alpha ^ 1
+        if ambient.pow(alpha, l) ^ ambient.pow(other, l) != 1:
+            continue
+        if ambient.pow(alpha, l + 1) ^ ambient.pow(other, l + 1) != 1:
+            continue
+        entrants.append(alpha)
+        if ambient.pow(alpha, l - 1) != 1:
+            violations.append((alpha, "alpha not an (l-1)-th root of unity"))
+        elif ambient.pow(other, l - 1) != 1:
+            violations.append((alpha, "alpha+1 not an (l-1)-th root of unity"))
+        elif low is None:
+            violations.append((alpha, "low component missing"))
+        else:
+            val = 0
+            for (a, _b, _c), coeff in low.terms.items():
+                val ^= ambient.mul(coeff, ambient.pow(alpha, a))
+            if val != 1:
+                violations.append((alpha, "low component vanished"))
+    return AuditReport(k, m, i, l, False, tuple(entrants), tuple(violations))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_audit_matches_surface_version(k):
+    for ambient in (create_field(k), create_field(2 * k)):
+        for m in range(3, 66, 2):
+            want = audit_via_surface(k, m, ambient)
+            assert root_of_unity_audit(k, m, ambient) == want, (k, ambient.n, m)
+
+
+def test_shifted_surface_components_follow_binomial_identity():
+    # shift_xy(phi_m) * x*y*(x+y) = N_m(x+1, y+1, 1): its degree-r component
+    # is C(m, r) * (x^r + y^r + (x+y)^r), the identity root_of_unity_audit reads
+    wrap = tri_mul(linear_form(F2, 1, 0, 0), linear_form(F2, 0, 1, 0))
+    wrap = tri_mul(wrap, linear_form(F2, 1, 1, 0))
+    for m in range(3, 66):
+        parts = tri_mul(shift_xy(build_phi_j(m, F2)), wrap).homogeneous_parts()
+        for r in range(m + 1):
+            want = Counter({(r, 0, 0): 1, (0, r, 0): 1})
+            want.update((s, r - s, 0) for s in _submasks(r))  # (x+y)^r by Lucas
+            want = {mono for mono, n in want.items() if n % 2} if lucas_mod2(m, r) else set()
+            assert set(parts.get(r, TriPoly.zero(F2)).terms) == want, (m, r)
+
+
+def test_audit_cli_builds_no_surface(monkeypatch, capsys):
+    # phi_1027 is above PHI_WORK_BUDGET, so building it exited 3
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the audit built a surface")
+
+    monkeypatch.setattr("apnforge.phi.numerator_surface", unreachable)
+    assert run(["audit", "--k", "3", "--m", "1027"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["clean"] is True
+    assert (payload["i"], payload["l"]) == (1, 513)
+
+
 # --- cubic divisors ----------------------------------------------------------
 
 
@@ -477,7 +575,8 @@ def test_certificate_builds_no_surface(monkeypatch):
         "phi_9 has linear factor x + 2*y + 3*z over GF(2^3); not absolutely irreducible",
     )
     heuristic_phi_certificate.cache_clear()
-    monkeypatch.setattr(screen_module, "build_phi_j", unreachable)
+    monkeypatch.setattr(screen_module, "build_phi", unreachable)
+    monkeypatch.setattr("apnforge.phi.numerator_surface", unreachable)
     monkeypatch.setattr(screen_module, "exhaustive_cubic_search", unreachable)
     try:
         for j, want in expected.items():

@@ -285,6 +285,20 @@ def test_ekp_scan_full_run(monkeypatch, capsys):
     assert all(line.endswith("  ok") for line in lines)
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_ekp_scan_jobs_below_one_is_usage_error(monkeypatch, capsys, jobs):
+    # The scan is quadratic and never uses a worker pool, so --jobs is not an
+    # option at all: any value is refused by argparse before the scan starts.
+    script = Path(__file__).resolve().parents[1] / "scripts" / "ekp_u_scan.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--jobs", jobs])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: --jobs" in err
+
+
 def test_verify_lucas_suite(capsys):
     code, out, err = invoke(capsys, "verify", "--suite", "lucas")
     assert code == 0

@@ -19,14 +19,21 @@ import time
 from apnforge import UniPoly, create_field, diff_spectrum, ekp_admissible_u
 
 
+def _sample_size(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--sample", type=int, default=None)
+    ap.add_argument("--sample", type=_sample_size, default=None)
     args = ap.parse_args()
 
     ctx = create_field(10)
     us = ekp_admissible_u(ctx)
-    if args.sample:
+    if args.sample is not None:
         step = max(1, len(us) // args.sample)
         us = us[::step][: args.sample]
 

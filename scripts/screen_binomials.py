@@ -15,6 +15,7 @@ import sys
 from collections import Counter
 
 from apnforge import UniPoly, create_field, replay_trace, screen_exceptional
+from apnforge.field import MAX_DEGREE
 
 
 def survey(n: int, max_degree: int, coefficients: tuple[int, ...]):
@@ -36,20 +37,38 @@ def survey(n: int, max_degree: int, coefficients: tuple[int, ...]):
                 }
 
 
+def _field_degree(text: str) -> int:
+    n = int(text)
+    if not 1 <= n <= MAX_DEGREE:
+        raise argparse.ArgumentTypeError(f"n must be in 1..{MAX_DEGREE}, got {n}")
+    return n
+
+
+def _hex_list(text: str) -> tuple[int, ...]:
+    return tuple(int(c, 16) for c in text.split(","))
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--n", type=int, default=5)
+    ap.add_argument("--n", type=_field_degree, default=5)
     ap.add_argument("--max-degree", type=int, default=33)
-    ap.add_argument("--coeffs", type=str, default="1", help="comma-separated hex coefficients for the trailing term")
+    ap.add_argument(
+        "--coeffs",
+        type=_hex_list,
+        default=(1,),
+        help="comma-separated hex coefficients for the trailing term, each in 1..2^n-1",
+    )
     args = ap.parse_args()
 
-    coefficients = tuple(int(c, 16) for c in args.coeffs.split(","))
+    for c in args.coeffs:
+        if not 1 <= c < 1 << args.n:
+            ap.error(f"argument --coeffs: {c:#x} is not a nonzero element of GF(2^{args.n})")
 
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["poly", "d", "e", "status", "theorem", "heuristic", "replays"])
     tally: Counter[str] = Counter()
     bad_replays = 0
-    for row in survey(args.n, args.max_degree, coefficients):
+    for row in survey(args.n, args.max_degree, args.coeffs):
         writer.writerow([row[k] for k in ("poly", "d", "e", "status", "theorem", "heuristic", "replays")])
         tally[row["status"]] += 1
         bad_replays += row["replays"] is False

@@ -404,8 +404,8 @@ def _cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def _add_field_args(sub, need_n=True):
-    sub.add_argument("--n", type=int, required=need_n, help="field degree n of GF(2^n)")
+def _add_field_args(sub):
+    sub.add_argument("--n", type=int, required=True, help="field degree n of GF(2^n)")
     sub.add_argument(
         "--modulus",
         type=_hex_int,

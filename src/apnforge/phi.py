@@ -62,18 +62,22 @@ def phi_work(f: UniPoly) -> int:
     return max(sum(3 ** j.bit_count() for j in f.terms), quotient)
 
 
-def numerator_surface(f: UniPoly) -> TriPoly:
-    """N_f(x,y,z) = f(x) + f(y) + f(z) + f(x+y+z).
-
-    Refuses, before building anything, an f whose phi_work is above
-    PHI_WORK_BUDGET.
-    """
+def _refuse_over_budget(f: UniPoly) -> None:
     work = phi_work(f)
     if work > PHI_WORK_BUDGET:
         raise ConstraintViolated(
             f"the surface of a degree-{f.degree()} polynomial needs about {work} "
             f"terms, above the budget of {PHI_WORK_BUDGET}"
         )
+
+
+def numerator_surface(f: UniPoly) -> TriPoly:
+    """N_f(x,y,z) = f(x) + f(y) + f(z) + f(x+y+z).
+
+    Refuses, before building anything, an f whose phi_work is above
+    PHI_WORK_BUDGET.
+    """
+    _refuse_over_budget(f)
     out: dict[tuple[int, int, int], int] = {}
 
     def acc(key, c):
@@ -120,8 +124,11 @@ def gold_product(k: int, ctx: FieldCtx) -> TriPoly:
     """Product of x + a*y + (a+1)*z over a in GF(2^k) minus GF(2).
 
     Requires k | ctx.n so the subfield is available; the result equals
-    phi_(2^k+1) term for term, with all coefficients landing in GF(2).
+    phi_(2^k+1) term for term, with all coefficients landing in GF(2).  So
+    it costs what that surface costs, and is refused, before any form is
+    multiplied, under the same PHI_WORK_BUDGET.
     """
+    _refuse_over_budget(UniPoly(ctx, {(1 << k) + 1: 1}))
     alphas = [a for a in ctx.subfield_elements(k) if a > 1]
     prod = TriPoly.const(ctx, 1)
     for a in alphas:

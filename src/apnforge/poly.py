@@ -75,17 +75,6 @@ class UniPoly:
                 t.pop(e, None)
         return UniPoly(self.ctx, t)
 
-    def scale(self, c: int) -> "UniPoly":
-        self.ctx.validate(c)
-        mul = self.ctx.mul
-        return UniPoly(self.ctx, {e: mul(a, c) for e, a in self.terms.items()})
-
-    def monic(self) -> "UniPoly":
-        lead = self.leading_coeff()
-        if lead == 0:
-            raise ZeroDivisionError("zero polynomial has no monic form")
-        return self if lead == 1 else self.scale(self.ctx.inv(lead))
-
     def evaluate(self, x: int) -> int:
         self.ctx.validate(x)
         acc = 0

@@ -173,17 +173,21 @@ def root_of_unity_audit(k: int, m: int, ambient: FieldCtx | None = None) -> Audi
     """Audit the chain that rules out shared forms for odd m = 2^i*l + 1.
 
     If x + a*y divides the shifted surface of phi_m then, writing
-    f(x, y) = shifted(phi_m) * x * y * (x+y), every homogeneous component
-    F_r must vanish at (a*y, y).  The two top components force
-    a^l + (a+1)^l = 1 and a^(l+1) + (a+1)^(l+1) = 1, which make a and a+1
-    (l-1)-th roots of unity; the component of degree r = m - (2^i + 1) then
-    evaluates to y^r, which does not vanish.  The audit re-runs that chain
-    for every candidate a and reports any break.
+    f(x, y) = shifted(phi_m) * x * y * (x+y) = N_m(x+1, y+1, 1), every
+    homogeneous component F_r = C(m, r) * (x^r + y^r + (x+y)^r) must vanish
+    at (a, 1).  The two top components ask a^l + b^l = 1 and
+    a^(l+1) + b^(l+1) = 1 with b = a + 1; the entrants are the a in GF(2^k)
+    minus GF(2) that satisfy both.
 
-    No surface is built: f = N_m(x+1, y+1, 1), since the shift sends
-    D = (x+y)(x+z)(y+z) to (x+y)*x*y, so
-    F_r = C(m, r) * (x^r + y^r + (x+y)^r) and F_r(a, 1) is
-    C(m, r) * (a^r + (a+1)^r + 1), with C(m, r) mod 2 from lucas_mod2.
+    Since a + b = 1, the second equation minus (a + b) times the first is
+    a*b*(a^(l-1) + b^(l-1)) = 0, and a*b != 0; with a^(l-1) = b^(l-1) the
+    first becomes (a + b)*a^(l-1) = 1.  So the two hold together exactly
+    when a^(l-1) = b^(l-1) = 1, which is how the entrants are found.  That
+    settles the rest of the chain for every entrant: a and a+1 are (l-1)-th
+    roots of unity, and r = m - 2^i - 1 = 2^i*(l-1) is a multiple of l - 1
+    whose bits lie inside m's, so C(m, r) is odd and
+    F_r(a, 1) = a^r + b^r + 1 = 1 does not vanish.  No entrant can break the
+    chain, so violations is always empty.
     """
     if m < 3 or m % 2 == 0:
         raise ConstraintViolated(f"m must be odd and at least 3, got {m}")
@@ -195,31 +199,12 @@ def root_of_unity_audit(k: int, m: int, ambient: FieldCtx | None = None) -> Audi
     l = (m - 1) >> i
     if l == 1:
         return AuditReport(k, m, i, l, True, (), ())
-    r = m - (1 << i) - 1
-
-    entrants: list[int] = []
-    violations: list[tuple[int, str]] = []
-    for alpha in ambient.subfield_elements(k):
-        if alpha < 2:
-            continue
-        other = alpha ^ 1
-        eq_top_even = ambient.pow(alpha, l) ^ ambient.pow(other, l) == 1
-        eq_top_odd = ambient.pow(alpha, l + 1) ^ ambient.pow(other, l + 1) == 1
-        if not (eq_top_even and eq_top_odd):
-            continue
-        entrants.append(alpha)
-        if ambient.pow(alpha, l - 1) != 1:
-            violations.append((alpha, "alpha not an (l-1)-th root of unity"))
-            continue
-        if ambient.pow(other, l - 1) != 1:
-            violations.append((alpha, "alpha+1 not an (l-1)-th root of unity"))
-            continue
-        if not lucas_mod2(m, r):
-            violations.append((alpha, "low component missing"))
-            continue
-        if ambient.pow(alpha, r) ^ ambient.pow(other, r) ^ 1 != 1:
-            violations.append((alpha, "low component vanished"))
-    return AuditReport(k, m, i, l, False, tuple(entrants), tuple(violations))
+    entrants = tuple(
+        a
+        for a in ambient.subfield_elements(k)
+        if a > 1 and ambient.pow(a, l - 1) == 1 == ambient.pow(a ^ 1, l - 1)
+    )
+    return AuditReport(k, m, i, l, False, entrants, ())
 
 
 def cubic_extension(ctx: FieldCtx) -> FieldCtx:
@@ -274,44 +259,34 @@ def _trial_division_divides(p: TriPoly, divisor: TriPoly) -> bool:
     return True
 
 
-def _lift_to_extension(phi: TriPoly, ext: FieldCtx) -> TriPoly:
-    if phi.ctx == ext:
-        return phi
+def _lift_to_cubic_extension(phi: TriPoly) -> TriPoly:
+    ext = cubic_extension(phi.ctx)
     return embed_tripoly(phi, ext, subfield_embedding(phi.ctx, ext))
 
 
-def cubic_divisor_check(
-    phi: TriPoly, params: tuple[int, int, int, int], ext: FieldCtx | None = None
-) -> bool:
+def cubic_divisor_check(phi: TriPoly, params: tuple[int, int, int, int]) -> bool:
     """True iff (x+y)(y+z)(z+x) + P divides phi, with P the symmetric
     polynomial c1*(x^2+y^2+z^2) + c4*(xy+xz+yz) + b1*(x+y+z) + d built from
     params over the cubic extension of phi's field."""
-    if ext is None:
-        ext = cubic_extension(phi.ctx)
-    if ext.n % phi.ctx.n:
-        raise ConstraintViolated("extension does not contain the base field")
     if phi.total_degree() < 3:
         return False
-    return _trial_division_divides(_lift_to_extension(phi, ext), _cubic_candidate(ext, params))
+    lifted = _lift_to_cubic_extension(phi)
+    return _trial_division_divides(lifted, _cubic_candidate(lifted.ctx, params))
 
 
-def exhaustive_cubic_search(
-    phi: TriPoly, ext: FieldCtx | None = None
-) -> list[tuple[int, int, int, int]]:
+def exhaustive_cubic_search(phi: TriPoly) -> list[tuple[int, int, int, int]]:
     """All parameter quadruples whose cubic divides phi, in sorted order.
 
     Restricted to base fields with q <= 4 (the q = 4 case already walks 64^4
     candidates and takes on the order of an hour).  Candidates are first
     rejected through evaluation: a divisor must vanish wherever phi does not.
     """
-    base = phi.ctx
-    if base.order > 4:
+    if phi.ctx.order > 4:
         raise ConstraintViolated("exhaustive cubic search is limited to q <= 4")
-    if ext is None:
-        ext = cubic_extension(base)
-    lifted = _lift_to_extension(phi, ext)
+    lifted = _lift_to_cubic_extension(phi)
     if lifted.total_degree() < 3:
         return []
+    ext = lifted.ctx
 
     # affine-chart samples (x, y, 1) with phi != 0; for those points a
     # dividing cubic can never vanish
@@ -475,20 +450,22 @@ def _scan_terms(k: int, degrees: list[int]) -> tuple[int | None, str]:
     return hit, "; ".join(results) + "; " + tail
 
 
-def _boundary_shape(h: UniPoly, k: int, n: int) -> tuple[bool, str]:
-    """(whether Thm 6 applies: k odd, gcd(k, n) = 1, h not the excluded shape; label)."""
+def _boundary_shape(f: UniPoly, k: int) -> tuple[bool, str]:
+    """(whether Thm 6 applies to f = c*x^(2^k+1) + h: k odd, gcd(k, n) = 1,
+    h not the excluded shape; label).
+
+    The shape is stated for the monic f/c, where it reads h_3/c = (h_b/c)^2
+    for b = 2^(k-1)+2; multiplied out that is h_3*c = h_b^2, which needs no
+    inverse.
+    """
     head = "deg h at the boundary 2^(k-1)+2"
     if k % 2 == 0:
         return False, f"{head} but k is even"
-    if gcd(k, n) != 1:
+    if gcd(k, f.ctx.n) != 1:
         return False, f"{head} but gcd(k, n) > 1"
-    boundary = (1 << (k - 1)) + 2
-    lead = h.terms.get(boundary, 0)
-    excluded = (
-        lead != 0
-        and set(h.terms) == {boundary, 3}
-        and h.terms[3] == h.ctx.sqr(lead)
-    )
+    d, boundary = (1 << k) + 1, (1 << (k - 1)) + 2
+    t = f.terms
+    excluded = set(t) == {d, boundary, 3} and f.ctx.mul(t[3], t[d]) == f.ctx.sqr(t[boundary])
     if excluded:
         return False, f"{head}; h matches the excluded two-term shape a*x^(2^(k-1)+2) + a^2*x^3"
     return True, f"{head}; k odd and coprime to n; h avoids the excluded two-term shape"
@@ -503,6 +480,12 @@ def screen_exceptional(f: UniPoly) -> Verdict:
     (closed-form coprimality, per-term scans, boundary shapes); Kasami-Welch
     degree with a tail (heuristic certificate); catalogued degrees 12 and 20.
     Inconclusive is the fallback, never an error.
+
+    The rules are stated for the monic f/c, c the leading coefficient, and
+    a non-monic f is recorded with a monic_normalization entry, but f is
+    read as given: every rule except two looks only at f's exponents, the
+    cubic search finds the same divisors of phi_f = c*phi_(f/c), and the
+    Thm 6 shape is tested in a form free of c's inverse (_boundary_shape).
     """
     if f.degree() < 1:
         raise ConstraintViolated("screening requires a nonconstant polynomial")
@@ -511,21 +494,19 @@ def screen_exceptional(f: UniPoly) -> Verdict:
     def note(test: str, inputs: dict, outcome: str) -> None:
         trace.append({"test": test, "inputs": inputs, "outcome": outcome})
 
-    work = f
-    if f.leading_coeff() != 1:
-        work = f.monic()
+    *tail, d = sorted(f.terms)
+    if f.terms[d] != 1:
         note(
             "monic_normalization",
-            {"leading_coeff": f.leading_coeff()},
+            {"leading_coeff": f.terms[d]},
             "scaled to a monic representative",
         )
 
-    ctx = work.ctx
-    d = work.degree()
+    ctx = f.ctx
     gl = gold_param(d)
     kw = kasami_param(d)
 
-    if work.is_monomial() and (gl is not None or kw is not None):
+    if not tail and (gl is not None or kw is not None):
         note("monomial_family", {"degree": d}, _family_label(d))
         return Verdict("ConjecturedExceptional", None, False, trace)
 
@@ -539,7 +520,7 @@ def screen_exceptional(f: UniPoly) -> Verdict:
 
     if d % 4 == 2:
         e = d // 2
-        odd_terms = [j for j in sorted(work.terms) if j % 2]
+        odd_terms = [j for j in tail if j % 2]
         if odd_terms:
             note(
                 "even_degree_odd_term",
@@ -552,7 +533,7 @@ def screen_exceptional(f: UniPoly) -> Verdict:
     if d % 4 == 0 and (d // 4) % 4 == 3:
         e = d // 4
         if ctx.order <= 4:
-            found = exhaustive_cubic_search(build_phi(work))
+            found = exhaustive_cubic_search(build_phi(f))
             if not found:
                 note(
                     "cubic_divisor_search",
@@ -572,10 +553,9 @@ def screen_exceptional(f: UniPoly) -> Verdict:
                 "skipped; exhaustive search requires q <= 4",
             )
 
-    if gl is not None and not work.is_monomial():
+    if gl is not None and tail:
         k = gl
-        h = work + UniPoly(ctx, {d: 1})
-        dh = h.degree()
+        dh = tail[-1]
         note(
             "gold_decomposition",
             {"k": k, "degree": d, "h_degree": dh},
@@ -592,14 +572,14 @@ def screen_exceptional(f: UniPoly) -> Verdict:
                 {"k": k, "h_degree": dh},
                 "not applicable; deg h is even or below 3",
             )
-        eligible = [j for j in sorted(h.terms) if 3 <= j <= BRUTEFORCE_DEGREE_CAP]
+        eligible = [j for j in tail if 3 <= j <= BRUTEFORCE_DEGREE_CAP]
         hit, detail = _scan_terms(k, eligible)
         note("per_term_coprimality", {"k": k, "term_degrees": eligible}, detail)
         if hit is not None:
             return Verdict("NotExceptional", "Thm 5", False, trace)
         boundary = (1 << (k - 1)) + 2
         if dh == boundary:
-            avoids, label = _boundary_shape(h, k, ctx.n)
+            avoids, label = _boundary_shape(f, k)
             note("boundary_shape", {"k": k, "h_degree": dh, "n": ctx.n}, label)
             if avoids:
                 return Verdict("NotExceptional", "Thm 6", False, trace)
@@ -619,9 +599,8 @@ def screen_exceptional(f: UniPoly) -> Verdict:
                     "hold for the boundary term",
                 )
 
-    if kw is not None and not work.is_monomial():
-        g = work + UniPoly(ctx, {d: 1})
-        dg = g.degree()
+    if kw is not None and tail:
+        dg = tail[-1]
         bound = (1 << (2 * kw - 1)) - (1 << (kw - 1)) + 1
         within = dg <= bound
         note(
@@ -630,7 +609,7 @@ def screen_exceptional(f: UniPoly) -> Verdict:
             "deg g within the bound" if within else "deg g exceeds the bound",
         )
         if within:
-            for j in sorted(g.terms):
+            for j in tail:
                 if j < 3:
                     continue
                 ok, summary = heuristic_phi_certificate(j)

@@ -77,6 +77,20 @@ def test_gold_verb(capsys):
     assert payload["surface"] == "x^2+x*y+x*z+y^2+y*z+z^2"
 
 
+def test_gold_refuses_over_budget_before_multiplying(capsys, monkeypatch):
+    # the product equals phi_1025, about 5*10^5 terms, above PHI_WORK_BUDGET
+    def unreachable(*args, **kwargs):
+        raise AssertionError("gold multiplied a linear form")
+
+    monkeypatch.setattr("apnforge.phi.tri_mul", unreachable)
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "gold", "--k", "10")
+    assert time.perf_counter() - start < 0.5
+    assert code == 3
+    assert out == ""
+    assert "budget" in err
+
+
 def test_ddt_csv_lf_endings(capsys):
     code, out, _ = invoke(capsys, "ddt", "--n", "4", "--poly", "x^3", "--format", "csv")
     assert code == 0
@@ -297,6 +311,39 @@ def test_ekp_scan_jobs_below_one_is_usage_error(monkeypatch, capsys, jobs):
     out, err = capsys.readouterr()
     assert out == ""
     assert "unrecognized arguments: --jobs" in err
+
+
+@pytest.mark.parametrize("sample", ["0", "-3"])
+def test_ekp_scan_sample_below_one_is_usage_error(monkeypatch, capsys, sample):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "ekp_u_scan.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--sample", sample])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"--sample: must be at least 1, got {sample}" in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--coeffs", "zz"], "--coeffs: invalid"),
+        (["--coeffs", "0x40", "--n", "5"], "0x40 is not a nonzero element of GF(2^5)"),
+        (["--n", "0"], "--n: n must be in 1..24, got 0"),
+        (["--coeffs", "0"], "0x0 is not a nonzero element of GF(2^5)"),
+    ],
+    ids=["not_hex", "outside_field", "n_zero", "zero_coeff"],
+)
+def test_screen_binomials_bad_arguments_are_usage_errors(monkeypatch, capsys, argv, message):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "screen_binomials.py"
+    monkeypatch.setattr(sys, "argv", [str(script), *argv])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
 
 
 def test_verify_lucas_suite(capsys):

@@ -41,13 +41,6 @@ def test_unipoly_add_cancels_in_char_2():
     assert (f + f).terms == {}
 
 
-def test_unipoly_monic():
-    f = UniPoly(F256, {9: 0x3, 7: 0x5})
-    g = f.monic()
-    assert g.leading_coeff() == 1
-    assert g.scale(0x3) == f
-
-
 def test_unipoly_evaluate_matches_pow_sum():
     f = UniPoly(F256, {9: 0x3, 7: 1, 0: 0x11})
     for x in (0, 1, 0x53, 0xca):

@@ -1,6 +1,8 @@
 import json
+import random
 from collections import Counter
 from functools import lru_cache, reduce
+from math import gcd
 from operator import xor
 
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 import apnforge.screen as screen_module
 from apnforge.cli import run
-from apnforge.field import create_field
+from apnforge.field import FieldCtx, create_field
 from apnforge.phi import build_phi, build_phi_j, denominator_surface
 from apnforge.poly import (
     ConstraintViolated,
@@ -26,6 +28,7 @@ from apnforge.poly import (
 from apnforge.screen import (
     AuditReport,
     Verdict,
+    _boundary_shape,
     _linear_factor_witness,
     _numerator_vanishes,
     coprime_bruteforce,
@@ -45,7 +48,13 @@ from apnforge.screen import (
 )
 
 F2 = create_field(1)
+F4 = create_field(2)
 F32 = create_field(5)
+
+
+def scaled(f, c):
+    """c*f, built term by term on the test side."""
+    return UniPoly(f.ctx, {e: f.ctx.mul(a, c) for e, a in f.terms.items()})
 
 
 # --- binomial parity ---------------------------------------------------------
@@ -504,6 +513,19 @@ def test_cubic_divisor_check_agrees_with_search():
     assert not cubic_divisor_check(phi, (1, 0, 0, 0))
 
 
+@pytest.mark.parametrize("terms", [{12: 1, 6: 2}, {12: 1, 10: 3, 3: 1}, {12: 1, 5: 2}])
+def test_scaled_f_has_scaled_phi_and_the_same_cubic_divisors(terms):
+    # C divides c*phi_f exactly when C divides phi_f, so the Thm 4 search on
+    # a non-monic f finds the divisors of its monic copy
+    f = UniPoly(F4, terms)
+    params = [(0, 0, 0, 0), (0, 0, 0, 1), (1, 1, 0, 0), (1, 0, 0, 0), (5, 9, 33, 2)]
+    for c in (2, 3):
+        assert build_phi(scaled(f, c)) == build_phi(f).scale(c)
+        for quad in params:
+            want = cubic_divisor_check(build_phi(f), quad)
+            assert cubic_divisor_check(build_phi(scaled(f, c)), quad) == want, (c, quad)
+
+
 def test_cubic_divisor_check_low_degree():
     assert not cubic_divisor_check(build_phi_j(5, F2), (0, 0, 0, 0))
 
@@ -659,6 +681,97 @@ def test_screen_monic_normalization():
     assert verdict.trace[0]["test"] == "monic_normalization"
     assert verdict.status == "NotExceptional"
     assert verdict.theorem == "Thm 11"
+
+
+def test_screen_reads_non_monic_f_without_inverse_or_copy(monkeypatch):
+    # every non-monic binomial a*x^d + c*x^e over GF(2^5) with d <= 33, for
+    # a few (a, c): neither the screen nor replay inverts a field element or
+    # builds a polynomial from f.  a*x^5 + c*x^4 keeps the known k = 2
+    # replay rejection (test_replay_rejects_screens_own_k2_obstruction).
+    inputs = [
+        ((d, e), UniPoly(F32, {d: a, e: c}))
+        for d in range(3, 34)
+        for e in range(1, d)
+        for a in (2, 0x13, 0x1F)
+        for c in (1, 0xA)
+    ]
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the screen inverted an element or copied f")
+
+    monkeypatch.setattr(FieldCtx, "inv", unreachable)
+    monkeypatch.setattr(UniPoly, "__init__", unreachable)
+    for de, f in inputs:
+        verdict = screen_exceptional(f)
+        assert verdict.trace[0]["test"] == "monic_normalization"
+        assert replay_trace(f, verdict) == (de != (5, 4)), f
+
+
+def test_screen_of_scaled_f_adds_only_the_normalization_entry():
+    # screen(c*f) is screen(f) with one leading monic_normalization entry;
+    # the Thm 4 cubic search at q = 4 runs for about 40 minutes, so those
+    # inputs are left out
+    rng = random.Random(9)
+    cases = [(UniPoly(F32, {513: 1, 258: a}), c) for a, c in ((1, 2), (5, 7), (0x1F, 0x1F))]
+    cases += [(UniPoly(F32, {13: 1, 7: 3}), 5), (UniPoly(F32, {57: 1, 13: 9, 7: 1}), 0x11)]
+    for n in range(2, 8):
+        ctx = create_field(n)
+        while len(cases) < 40 * (n - 1) + 5:
+            exps = rng.sample(range(1, 66), rng.randint(1, 5))
+            top = max(exps)
+            if ctx.order <= 4 and top % 4 == 0 and (top // 4) % 4 == 3:
+                continue
+            terms = {e: rng.randrange(1, ctx.order) for e in exps}
+            terms[top] = 1
+            cases.append((UniPoly(ctx, terms), rng.randrange(2, ctx.order)))
+    theorems = set()
+    for f, c in cases:
+        g = scaled(f, c)
+        want, got = screen_exceptional(f), screen_exceptional(g)
+        assert got.trace[0] == {
+            "test": "monic_normalization",
+            "inputs": {"leading_coeff": c},
+            "outcome": "scaled to a monic representative",
+        }
+        assert got == Verdict(want.status, want.theorem, want.heuristic, got.trace[:1] + want.trace)
+        assert replay_trace(g, got)
+        theorems.add(got.theorem)
+    assert theorems == {None, "Thm 2", "Thm 3", "Thm 5", "Thm 6", "Thm 9", "Thm 11"}
+
+
+def boundary_shape_via_monic(f, k):
+    """_boundary_shape as it was: test the shape on h of the monic copy f/c."""
+    ctx = f.ctx
+    d = max(f.terms)
+    inv = ctx.inv(f.terms[d])
+    h = {e: ctx.mul(a, inv) for e, a in f.terms.items() if e != d}
+    head = "deg h at the boundary 2^(k-1)+2"
+    if k % 2 == 0:
+        return False, f"{head} but k is even"
+    if gcd(k, ctx.n) != 1:
+        return False, f"{head} but gcd(k, n) > 1"
+    boundary = (1 << (k - 1)) + 2
+    lead = h.get(boundary, 0)
+    if lead and set(h) == {boundary, 3} and h[3] == ctx.sqr(lead):
+        return False, f"{head}; h matches the excluded two-term shape a*x^(2^(k-1)+2) + a^2*x^3"
+    return True, f"{head}; k odd and coprime to n; h avoids the excluded two-term shape"
+
+
+@pytest.mark.parametrize("n,k", [(5, 3), (5, 5), (5, 7), (3, 5)])
+def test_boundary_shape_matches_monic_rule(n, k):
+    # every c*x^(2^k+1) + a*x^(2^(k-1)+2) + e*x^3; GF(2^3) adds a k = 5 case
+    # with gcd(k, n) = 1
+    ctx = create_field(n)
+    d, boundary = (1 << k) + 1, (1 << (k - 1)) + 2
+    excluded = 0
+    for c in range(1, ctx.order):
+        for a in range(ctx.order):
+            for e in range(ctx.order):
+                f = UniPoly(ctx, {d: c, boundary: a, 3: e})
+                got = _boundary_shape(f, k)
+                assert got == boundary_shape_via_monic(f, k), (c, a, e)
+                excluded += "excluded" in got[1] and "matches" in got[1]
+    assert excluded == (0 if gcd(k, n) > 1 else (ctx.order - 1) ** 2)
 
 
 def test_screen_rejects_degenerate_input():

@@ -12,12 +12,14 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby, repeat
+from operator import lshift, mul, xor
 
 from .field import FieldCtx, create_field
 from .poly import ConstraintViolated, UniPoly
 
 SPECTRUM_MAX_N = 20
-SCAN_MAX_N = 14
+SCAN_MAX_N = 14  # a general input at n = 14 scans in about 24 s on a 2-core x86_64 host
 FULL_MAX_N = 11  # the (a, b) table of x^9+x^7 peaks at 132 MB for n = 11
 PROP1_MAX_N = 7
 
@@ -33,6 +35,8 @@ class DiffSpectrum:
 
     def __post_init__(self):
         q = self.ctx.order
+        if len(self.counts) != q - 1:
+            raise AssertionError("every difference a != 0 must have a row")
         for a, hist in self.counts.items():
             if not 0 < a < q:
                 raise AssertionError("difference values must be nonzero elements")
@@ -69,33 +73,81 @@ class DiffSpectrum:
         }
 
 
-def _difference_row(fv: list[int], a: int) -> dict[int, int]:
-    """b -> #{x : f(x+a) + f(x) = b}, from the value table fv of f."""
-    per_b: dict[int, int] = {}
-    for x in range(len(fv)):
-        b = fv[x ^ a] ^ fv[x]
-        per_b[b] = per_b.get(b, 0) + 1
-    return per_b
+def _group_halves(fv: list[int], t: int) -> tuple[list[int], list[int]]:
+    """fv at the q/2 elements x with bit t clear, and fv at x + t.
+
+    Position p of both halves stands for the x whose bits below t are those
+    of p and whose bits above t are p's bits from t up.  For t <= a < 2t the
+    pair {x, x + a} then joins position p of the low half to position
+    p ^ (a - t) of the high half.  Built from t strided slice copies, one per
+    value of x mod t.
+    """
+    half, span = len(fv) >> 1, 2 * t
+    low, high = [0] * half, [0] * half
+    for r in range(t):
+        low[r::t] = fv[r::span]
+        high[r::t] = fv[r + t::span]
+    return low, high
 
 
-def _row_histogram(per_b: dict[int, int], q: int) -> dict[int, int]:
-    """count -> #b with that count, for one row b -> count of the table."""
-    hist: dict[int, int] = {}
-    for c in per_b.values():
-        hist[c] = hist.get(c, 0) + 1
-    missed = q - len(per_b)
-    if missed:
-        hist[0] = missed
+def _xor_reindex(seq: list[int], m: int, block: int) -> list[int]:
+    """[seq[p ^ m] for p in range(len(seq))], in O(block + len/block) slices.
+
+    block is a power of two: the bits of m below it permute the residues
+    mod block (one strided slice each), the bits above it permute whole
+    blocks (one slice each).
+    """
+    size = len(seq)
+    inner, outer = m & (block - 1), m & -block
+    if inner:
+        out = [0] * size
+        for j in range(block):
+            out[j::block] = seq[j ^ inner::block]
+        seq = out
+    if outer:
+        out = [0] * size
+        for h in range(0, size, block):
+            g = h ^ outer
+            out[h:h + block] = seq[g:g + block]
+        seq = out
+    return seq
+
+
+def _pair_differences(fv: list[int], a_list):
+    """Yield (a, values) for each a in a_list: row a of the difference table.
+
+    The solutions of f(x+a) + f(x) = b pair up as {x, x + a}, and exactly
+    one x of each pair has the top bit t of a clear, so values holds the
+    q/2 numbers fv[x + a] ^ fv[x] for those x, each pair once: delta_f(a, b)
+    is twice the number of values equal to b.  Each run of consecutive a
+    with the same t shares the two halves of fv that _group_halves builds
+    when its first row is drawn, so an early exit builds no later run.
+    A caller that tags fv[x] with x << n gets values tagged with a << n.
+    """
+    q = len(fv)
+    block = 1 << ((q.bit_length() - 1) // 2)  # about sqrt(q/2)
+    for bits, run in groupby(a_list, int.bit_length):
+        t = 1 << (bits - 1)
+        low, high = _group_halves(fv, t)
+        for a in run:
+            yield a, map(xor, low, _xor_reindex(high, a - t, min(t, block)))
+
+
+def _pair_histogram(pairs: Counter, q: int) -> dict[int, int]:
+    """count -> #b with that count, for one row given as value -> #pairs."""
+    hist = {2 * c: m for c, m in Counter(pairs.values()).items()}
+    hist[0] = q - len(pairs)  # at most q/2 values occur
     return hist
 
 
-def _monomial_row(ctx: FieldCtx, d: int) -> dict[int, int]:
-    """Row a = 1 of the difference table of x^d.
+def _monomial_row(ctx: FieldCtx, d: int) -> Counter:
+    """Row a = 1 of the difference table of x^d, as b -> #pairs {x, x + 1}.
 
     Row a of c x^d + c0 is this row with b -> c a^d b (substitute x = a y),
     so its histogram is the histogram of every row a != 0.
     """
-    return _difference_row(UniPoly(ctx, {d: 1}).value_table(), 1)
+    fv = UniPoly(ctx, {d: 1}).value_table()
+    return Counter(map(xor, fv[1::2], fv[0::2]))
 
 
 def _gf2_rank(vectors: list[int], width: int) -> int:
@@ -158,35 +210,15 @@ def _spectrum_path(f: UniPoly, full: bool = False) -> str:
 def _spectrum_rows(args):
     n, modulus, terms, a_list, full = args
     ctx = create_field(n, modulus)
-    fv = UniPoly(ctx, terms).value_table()
     q = ctx.order
     counts: dict[int, dict[int, int]] = {}
     table: dict[int, dict[int, int]] = {}
-    for a in a_list:
-        per_b = _difference_row(fv, a)
-        counts[a] = _row_histogram(per_b, q)
+    for a, values in _pair_differences(UniPoly(ctx, terms).value_table(), a_list):
+        pairs = Counter(values)
+        counts[a] = _pair_histogram(pairs, q)
         if full:
-            table[a] = per_b
+            table[a] = {b: 2 * c for b, c in pairs.items()}
     return counts, table
-
-
-def _row_counts(f: UniPoly, path: str) -> dict[int, dict[int, int]]:
-    """a -> {count -> #b} for every a != 0, serially, along the given path.
-
-    Rows with the same histogram share one dict.
-    """
-    ctx = f.ctx
-    q = ctx.order
-    if path == "power":
-        d = max(f.terms)
-        return dict.fromkeys(range(1, q), _row_histogram(_monomial_row(ctx, d), q))
-    if path == "quadratic":
-        # rank r: 2^(n-r) solutions for each of the 2^r values of the coset
-        by_rank = {
-            r: {1 << (ctx.n - r): 1 << r, 0: q - (1 << r)} for r in range(ctx.n + 1)
-        }
-        return {a: by_rank[r] for a, r in enumerate(_quadratic_ranks(f), 1)}
-    return _spectrum_rows((ctx.n, ctx.modulus, f.terms, range(1, q), False))[0]
 
 
 def diff_spectrum(f: UniPoly, full: bool = False, jobs: int = 1) -> DiffSpectrum:
@@ -198,18 +230,28 @@ def diff_spectrum(f: UniPoly, full: bool = False, jobs: int = 1) -> DiffSpectrum
       - quadratic (every exponent of binary weight <= 2): row a has 2^(n-r)
         solutions for each of 2^r values b, r the GF(2)-rank of the linear
         map x -> f(x+a) + f(x) + f(a) + f(0), in O(q n^2);
-      - scan (any other f, and every full table): all q^2 pairs (a, x),
-        capped at n <= SCAN_MAX_N, and a full table at n <= FULL_MAX_N; the
-        other paths go up to SPECTRUM_MAX_N.
+      - scan (any other f, and every full table): every row a != 0 from its
+        q/2 pairs {x, x + a}, each counted once (_pair_differences), capped
+        at n <= SCAN_MAX_N, and a full table at n <= FULL_MAX_N; the other
+        paths go up to SPECTRUM_MAX_N.
+    Rows with the same histogram may share one dict.
     jobs > 1 splits the scan's nonzero differences across processes, at most
     one per CPU and one per row; rows are keyed by the difference value, so
     the merge cannot depend on worker order.  The other paths run serially.
     """
     ctx = f.ctx
-    path = _spectrum_path(f, full)
-    if path != "scan":
-        return DiffSpectrum(ctx=ctx, poly=f, counts=_row_counts(f, path))
     q = ctx.order
+    path = _spectrum_path(f, full)
+    if path == "power":
+        hist = _pair_histogram(_monomial_row(ctx, max(f.terms)), q)
+        return DiffSpectrum(ctx=ctx, poly=f, counts=dict.fromkeys(range(1, q), hist))
+    if path == "quadratic":
+        # rank r: 2^(n-r) solutions for each of the 2^r values of the coset
+        by_rank = {
+            r: {1 << (ctx.n - r): 1 << r, 0: q - (1 << r)} for r in range(ctx.n + 1)
+        }
+        counts = {a: by_rank[r] for a, r in enumerate(_quadratic_ranks(f), 1)}
+        return DiffSpectrum(ctx=ctx, poly=f, counts=counts)
     all_a = list(range(1, q))
     workers = min(jobs, os.cpu_count() or 1, q - 1)
     if workers <= 1 or q < 64:
@@ -235,15 +277,16 @@ def is_apn(f: UniPoly) -> bool:
     Takes diff_spectrum's path: a power map checks row 1 only, a quadratic
     map needs rank n - 1 (a kernel of dimension 1) on every row, and any
     other f scans row by row, up to SCAN_MAX_N, stopping at the first row
-    with a count above 2.
+    whose q/2 pair values are not all distinct (a count above 2).
     """
+    half = f.ctx.order // 2
     path = _spectrum_path(f)
     if path == "power":
-        return max(_monomial_row(f.ctx, max(f.terms)).values()) <= 2
+        return len(_monomial_row(f.ctx, max(f.terms))) == half
     if path == "quadratic":
         return all(r == f.ctx.n - 1 for r in _quadratic_ranks(f))
-    fv = f.value_table()
-    return all(max(_difference_row(fv, a).values()) <= 2 for a in range(1, f.ctx.order))
+    rows = _pair_differences(f.value_table(), range(1, f.ctx.order))
+    return all(len(set(values)) == half for _, values in rows)
 
 
 def prop1_check(f: UniPoly) -> tuple[bool, tuple[int, int, int] | None]:
@@ -287,17 +330,48 @@ def corollary_bound(d: int, q: int) -> int:
     return 4 * ((d - 3) * q + 1)
 
 
+def _sum_of_squares(pairs: Counter) -> int:
+    return sum(map(mul, pairs.values(), pairs.values()))
+
+
+def _square_sum(g: UniPoly) -> int:
+    """sum of delta_g(a, b)^2 over a != 0 and every b, along diff_spectrum's path.
+
+    A row's square sum is 4 sum_b c_b^2, c_b the number of pairs {x, x + a}
+    with value b.  The power path takes q - 1 times row 1's; the quadratic
+    path 2^(2n - r) per row of rank r.  The scan tags g(x) with x << n, so
+    every value carries its row, and counts the values of many rows in one
+    Counter, summing and emptying it once it holds q values, so it stays
+    O(q) and no row builds a histogram of its own.
+    """
+    ctx = g.ctx
+    q = ctx.order
+    path = _spectrum_path(g)
+    if path == "power":
+        return (q - 1) * 4 * _sum_of_squares(_monomial_row(ctx, max(g.terms)))
+    if path == "quadratic":
+        return sum(1 << (2 * ctx.n - r) for r in _quadratic_ranks(g))
+    tagged = list(map(xor, g.value_table(), map(lshift, range(q), repeat(ctx.n))))
+    total = 0
+    pairs = Counter()
+    for _, values in _pair_differences(tagged, range(1, q)):
+        pairs.update(values)
+        if len(pairs) >= q:
+            total += _sum_of_squares(pairs)
+            pairs.clear()
+    return 4 * (total + _sum_of_squares(pairs))
+
+
 def _affine_zero_count(g: UniPoly) -> int:
     """Zeros of phi_g in GF(q)^3.
 
-    The rows a != 0 of g's difference table give sum delta_g(a, b)^2, the a = 0
-    row adds q^2, and every point of the three planes is a zero of N_g.
+    The rows a != 0 of g's difference table give sum delta_g(a, b)^2
+    (_square_sum), the a = 0 row adds q^2, and every point of the three
+    planes is a zero of N_g.
     """
     ctx, terms = g.ctx, g.terms
     q = ctx.order
-    rows = _row_counts(g, _spectrum_path(g)).values()
-    square_sum = sum(c * c * m for hist in rows for c, m in hist.items())
-    off_planes = square_sum + q * q - (3 * q * q - 2 * q)
+    off_planes = _square_sum(g) + q * q - (3 * q * q - 2 * q)
     line = UniPoly(ctx, {j - 3: c for j, c in terms.items() if j % 4 == 3}).value_table().count(0)
     # g', the formal derivative: in characteristic 2 only odd exponents survive
     derivative = UniPoly(ctx, {j - 1: c for j, c in terms.items() if j % 2})
@@ -321,9 +395,10 @@ def projective_point_count(f: UniPoly) -> int:
     The top homogeneous part of phi_f is c_e phi_e, e the largest exponent of
     f that is >= 3 and not a power of two.  Its zeros form a cone through the
     origin, so the points at infinity number (affine(x^e) - 1) / (q - 1),
-    none when e = 3 (phi_3 = 1).  The difference tables come from
-    diff_spectrum's paths, so x^e costs one row, and the paths' caps are the
-    count's caps: an f over them is refused before any table is built.
+    none when e = 3 (phi_3 = 1).  The square sums follow diff_spectrum's
+    paths (_square_sum), so x^e costs one row, a scanned g counts each pair
+    {x, x + a} once and builds no per-row histogram, and the paths' caps are
+    the count's caps: an f over them is refused before any table is built.
     If f is additive (every exponent 0 or a power of two), phi_f = 0 and every
     point counts.
     """

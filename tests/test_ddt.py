@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -251,6 +252,134 @@ def test_general_inputs_take_the_scan():
         f = UniPoly(create_field(n), terms)
         assert _spectrum_path(f) == "scan"
         assert is_apn(f) == diff_spectrum(f).is_apn()
+
+
+def _difference_row(fv: list[int], a: int) -> dict[int, int]:
+    """b -> #{x : f(x+a) + f(x) = b}, from the value table fv of f: the
+    per-element oracle for the pair kernel."""
+    per_b: dict[int, int] = {}
+    for x in range(len(fv)):
+        b = fv[x ^ a] ^ fv[x]
+        per_b[b] = per_b.get(b, 0) + 1
+    return per_b
+
+
+def _row_histogram(per_b: dict[int, int], q: int) -> dict[int, int]:
+    """count -> #b with that count, for one row b -> count of the table."""
+    hist: dict[int, int] = {}
+    for c in per_b.values():
+        hist[c] = hist.get(c, 0) + 1
+    missed = q - len(per_b)
+    if missed:
+        hist[0] = missed
+    return hist
+
+
+def _oracle_rows(f: UniPoly) -> dict[int, dict[int, int]]:
+    fv = [f.evaluate(x) for x in range(f.ctx.order)]
+    return {a: _difference_row(fv, a) for a in range(1, f.ctx.order)}
+
+
+def _oracle_square_sum(g: UniPoly) -> int:
+    return sum(c * c for row in _oracle_rows(g).values() for c in row.values())
+
+
+def _check_against_oracle(f: UniPoly, monkeypatch):
+    """counts, the full table, is_apn and the point count agree with the
+    per-element oracle; the point count is recomputed with the oracle's
+    square sum in place of the kernel's."""
+    q = f.ctx.order
+    rows = _oracle_rows(f)
+    hists = {a: _row_histogram(row, q) for a, row in rows.items()}
+    apn = all(max(row.values()) <= 2 for row in rows.values())
+    assert diff_spectrum(f).counts == hists, f
+    full = diff_spectrum(f, full=True)
+    assert (full.counts, full.table) == (hists, rows), f
+    assert is_apn(f) == apn, f
+    points = projective_point_count(f)
+    with monkeypatch.context() as patch:
+        patch.setattr(ddt_module, "_square_sum", _oracle_square_sum)
+        assert projective_point_count(f) == points, f
+
+
+def _seeded_polys(rng: random.Random, n: int, count: int) -> list[UniPoly]:
+    """Polynomials with constant terms, exponents >= q and weight-3 exponents."""
+    ctx = create_field(n)
+    q = ctx.order
+    polys = []
+    for _ in range(count):
+        terms = {e: rng.randrange(1, q) for e in rng.sample(range(1, 4 * q + 8), rng.randint(1, 3))}
+        terms[rng.choice([7, 11, 13, 14, 19, 21, 25])] = rng.randrange(1, q)  # weight 3
+        terms[0] = rng.randrange(q)
+        polys.append(UniPoly(ctx, terms))
+    return polys
+
+
+def test_kernel_matches_oracle_every_monomial(monkeypatch):
+    for n in range(1, 8):
+        ctx = create_field(n)
+        for d in range(1, 71):
+            _check_against_oracle(UniPoly(ctx, {d: 1}), monkeypatch)
+
+
+def test_kernel_matches_oracle_seeded(monkeypatch):
+    rng = random.Random(11)
+    for n in range(1, 9):
+        for f in _seeded_polys(rng, n, 12 if n < 8 else 4):
+            _check_against_oracle(f, monkeypatch)
+
+
+def test_pooled_kernel_matches_oracle(monkeypatch, pool_sizes):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    rng = random.Random(12)
+    for n in (6, 7, 8):
+        for f in _seeded_polys(rng, n, 2):
+            rows = _oracle_rows(f)
+            spec = diff_spectrum(f, full=True, jobs=3)
+            assert spec.table == rows, f
+            assert spec.counts == {a: _row_histogram(row, f.ctx.order) for a, row in rows.items()}
+    assert pool_sizes == [3] * 6
+
+
+def test_square_sum_matches_oracle():
+    rng = random.Random(13)
+    for n in range(1, 8):
+        ctx = create_field(n)
+        cases = [UniPoly(ctx, {d: 1}) for d in (3, 5, 7, 9, 11, 13)]  # power
+        cases.append(UniPoly(ctx, {5: ctx.order - 1, 3: 1, 1: 1, 0: 1}))  # quadratic
+        cases += _seeded_polys(rng, n, 4)  # scan
+        for g in cases:
+            assert ddt_module._square_sum(g) == _oracle_square_sum(g), g
+
+
+def test_square_sum_counter_stays_within_q(monkeypatch):
+    # the shared Counter is emptied once it holds q values, and the sums
+    # taken before each emptying are kept
+    sizes = []
+
+    class Recording(Counter):
+        def update(self, *args, **kwargs):
+            super().update(*args, **kwargs)
+            sizes.append(len(self))
+
+    monkeypatch.setattr(ddt_module, "Counter", Recording)
+    g = UniPoly(create_field(8), {9: 1, 7: 1})
+    q = g.ctx.order
+    assert ddt_module._square_sum(g) == _oracle_square_sum(g)
+    assert max(sizes) >= q  # the bound is reached
+    assert max(sizes) < q + q // 2  # one row of q/2 values past it at most
+
+
+def test_a_missing_row_is_caught(monkeypatch):
+    kernel = ddt_module._pair_differences
+
+    def drops_last_row(fv, a_list):
+        a_list = list(a_list)
+        return kernel(fv, a_list[:-1])
+
+    monkeypatch.setattr(ddt_module, "_pair_differences", drops_last_row)
+    with pytest.raises(AssertionError, match="must have a row"):
+        diff_spectrum(UniPoly(create_field(5), {9: 1, 7: 1}))
 
 
 def test_scan_cap_is_below_the_fast_path_cap():

@@ -79,20 +79,9 @@ def numerator_surface(f: UniPoly) -> TriPoly:
     """
     _refuse_over_budget(f)
     out: dict[tuple[int, int, int], int] = {}
-
-    def acc(key, c):
-        r = out.get(key, 0) ^ c
-        if r:
-            out[key] = r
-        else:
-            out.pop(key, None)
-
     for j, c in f.terms.items():
-        for key in _sym_power_triples(j):
-            acc(key, c)
-        acc((j, 0, 0), c)
-        acc((0, j, 0), c)
-        acc((0, 0, j), c)
+        for key in _sym_power_triples(j) + [(j, 0, 0), (0, j, 0), (0, 0, j)]:
+            out[key] = out.get(key, 0) ^ c
     return TriPoly(f.ctx, out)
 
 

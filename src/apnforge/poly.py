@@ -3,7 +3,9 @@
 UniPoly maps degree -> coefficient, TriPoly maps (i, j, k) exponent triples of
 x, y, z -> coefficient.  Zero coefficients are never stored and instances are
 treated as immutable values: every operation returns a fresh polynomial.
-Coefficient addition in characteristic 2 is XOR, so sums cancel on insert.
+Coefficient addition in characteristic 2 is XOR.  Operations XOR terms into
+a plain dict, where a cancelled key may linger as a zero; the constructor is
+the one place that drops zeros.
 """
 
 from __future__ import annotations
@@ -34,46 +36,59 @@ def _validated_terms(ctx: FieldCtx, terms) -> dict:
     return out
 
 
-class UniPoly:
-    """Univariate polynomial; terms maps degree to nonzero coefficient."""
+class _SparsePoly:
+    """Exponent key -> coefficient over ctx; subclasses check the keys."""
 
     __slots__ = ("ctx", "terms")
 
-    def __init__(self, ctx: FieldCtx, terms: dict[int, int]):
-        for e in terms:
-            if not isinstance(e, int) or e < 0 or e > DEGREE_CAP:
-                raise ValueError(f"bad exponent {e!r} (cap {DEGREE_CAP})")
+    def __init__(self, ctx: FieldCtx, terms: dict):
+        self._check_keys(terms)
         self.ctx = ctx
         self.terms = _validated_terms(ctx, terms)
 
     @classmethod
-    def zero(cls, ctx: FieldCtx) -> "UniPoly":
+    def zero(cls, ctx: FieldCtx):
         return cls(ctx, {})
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        """Degree, with -1 standing in for the zero polynomial."""
-        return max(self.terms) if self.terms else -1
-
-    def leading_coeff(self) -> int:
-        return self.terms[max(self.terms)] if self.terms else 0
-
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
+    def __add__(self, other):
         if self.ctx != other.ctx:
             raise ValueError("context mismatch")
         t = dict(self.terms)
-        for e, c in other.terms.items():
-            r = t.get(e, 0) ^ c
-            if r:
-                t[e] = r
-            else:
-                t.pop(e, None)
-        return UniPoly(self.ctx, t)
+        for key, c in other.terms.items():
+            t[key] = t.get(key, 0) ^ c
+        return type(self)(self.ctx, t)
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self.ctx == other.ctx
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self.ctx, tuple(sorted(self.terms.items()))))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(GF(2^{self.ctx.n}), {self.render()})"
+
+
+class UniPoly(_SparsePoly):
+    """Univariate polynomial; terms maps degree to nonzero coefficient."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _check_keys(terms) -> None:
+        for e in terms:
+            if not isinstance(e, int) or e < 0 or e > DEGREE_CAP:
+                raise ValueError(f"bad exponent {e!r} (cap {DEGREE_CAP})")
+
+    def degree(self) -> int:
+        """Degree, with -1 standing in for the zero polynomial."""
+        return max(self.terms) if self.terms else -1
 
     def evaluate(self, x: int) -> int:
         self.ctx.validate(x)
@@ -116,19 +131,6 @@ class UniPoly:
                 var = "x" if e == 1 else f"x^{e}"
                 parts.append(var if c == 1 else f"0x{c:x}*{var}")
         return "+".join(parts)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, UniPoly)
-            and self.ctx == other.ctx
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.ctx, tuple(sorted(self.terms.items()))))
-
-    def __repr__(self) -> str:
-        return f"UniPoly(GF(2^{self.ctx.n}), {self.render()})"
 
 
 def parse_unipoly(text: str, ctx: FieldCtx) -> UniPoly:
@@ -178,19 +180,18 @@ def parse_unipoly(text: str, ctx: FieldCtx) -> UniPoly:
             i += 1
             skip_ws()
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in "0123456789":
                 j += 1
             if j == i:
                 fail("expected digits after '^'")
-            exp = int(text[i:j])
+            digits = text[i:j].lstrip("0") or "0"
+            if len(digits) > len(str(DEGREE_CAP)):
+                fail(f"a {len(digits)}-digit exponent exceeds cap {DEGREE_CAP}")
+            exp = int(digits)
             if exp > DEGREE_CAP:
                 fail(f"exponent {exp} exceeds cap {DEGREE_CAP}")
             i = j
-        r = terms.get(exp, 0) ^ coeff
-        if r:
-            terms[exp] = r
-        else:
-            terms.pop(exp, None)
+        terms[exp] = terms.get(exp, 0) ^ coeff
         skip_ws()
         if i >= n:
             break
@@ -201,30 +202,22 @@ def parse_unipoly(text: str, ctx: FieldCtx) -> UniPoly:
     return UniPoly(ctx, terms)
 
 
-class TriPoly:
+class TriPoly(_SparsePoly):
     """Trivariate polynomial in x, y, z; terms maps (i, j, k) to coefficient."""
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ()
 
-    def __init__(self, ctx: FieldCtx, terms: dict[tuple[int, int, int], int]):
+    @staticmethod
+    def _check_keys(terms) -> None:
         for key in terms:
             if len(key) != 3 or any(not isinstance(e, int) or e < 0 for e in key):
                 raise ValueError(f"bad exponent triple {key!r}")
             if sum(key) > DEGREE_CAP:
                 raise ValueError(f"total degree of {key!r} exceeds cap {DEGREE_CAP}")
-        self.ctx = ctx
-        self.terms = _validated_terms(ctx, terms)
-
-    @classmethod
-    def zero(cls, ctx: FieldCtx) -> "TriPoly":
-        return cls(ctx, {})
 
     @classmethod
     def const(cls, ctx: FieldCtx, c: int) -> "TriPoly":
         return cls(ctx, {(0, 0, 0): c})
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def total_degree(self) -> int:
         """Total degree, with -1 standing in for the zero polynomial."""
@@ -233,18 +226,6 @@ class TriPoly:
     def is_homogeneous(self) -> bool:
         degs = {sum(k) for k in self.terms}
         return len(degs) <= 1
-
-    def __add__(self, other: "TriPoly") -> "TriPoly":
-        if self.ctx != other.ctx:
-            raise ValueError("context mismatch")
-        t = dict(self.terms)
-        for key, c in other.terms.items():
-            r = t.get(key, 0) ^ c
-            if r:
-                t[key] = r
-            else:
-                t.pop(key, None)
-        return TriPoly(self.ctx, t)
 
     def __mul__(self, other: "TriPoly") -> "TriPoly":
         return tri_mul(self, other)
@@ -312,19 +293,6 @@ class TriPoly:
                 parts.append("*".join([f"0x{c:x}"] + names))
         return "+".join(parts)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TriPoly)
-            and self.ctx == other.ctx
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.ctx, tuple(sorted(self.terms.items()))))
-
-    def __repr__(self) -> str:
-        return f"TriPoly(GF(2^{self.ctx.n}), {self.render()})"
-
 
 def linear_form(ctx: FieldCtx, cx: int, cy: int, cz: int) -> TriPoly:
     """The form cx*x + cy*y + cz*z."""
@@ -341,11 +309,7 @@ def tri_mul(p: TriPoly, q: TriPoly) -> TriPoly:
     for (i1, j1, k1), c1 in p.terms.items():
         for (i2, j2, k2), c2 in q.terms.items():
             key = (i1 + i2, j1 + j2, k1 + k2)
-            r = out.get(key, 0) ^ mul(c1, c2)
-            if r:
-                out[key] = r
-            else:
-                del out[key]
+            out[key] = out.get(key, 0) ^ mul(c1, c2)
     return TriPoly(p.ctx, out)
 
 
@@ -391,11 +355,7 @@ def exact_div_linear(p: TriPoly, form: tuple[int, int, int]) -> TriPoly:
         mul = ctx.mul
         for key, c in src.items():
             nk = (key[0] + delta[0], key[1] + delta[1], key[2] + delta[2])
-            r = dst.get(nk, 0) ^ mul(c, coeff)
-            if r:
-                dst[nk] = r
-            else:
-                dst.pop(nk, None)
+            dst[nk] = dst.get(nk, 0) ^ mul(c, coeff)
 
     top = max(levels)
     quotient: dict[tuple[int, int, int], int] = {}
@@ -409,7 +369,7 @@ def exact_div_linear(p: TriPoly, form: tuple[int, int, int]) -> TriPoly:
         nxt = dict(levels.get(e, {}))
         for delta, coeff in tail:
             add_scaled(nxt, carry, delta, coeff)
-        carry = nxt
+        carry = {k: c for k, c in nxt.items() if c}
     if carry:
         names = "xyz"
         sub = "+".join(
@@ -448,11 +408,7 @@ def shift_xy(p: TriPoly) -> TriPoly:
         for s in _submasks(i):
             for t in _submasks(j):
                 key = (s, t, 0)
-                r = out.get(key, 0) ^ c
-                if r:
-                    out[key] = r
-                else:
-                    del out[key]
+                out[key] = out.get(key, 0) ^ c
     return TriPoly(p.ctx, out)
 
 

@@ -207,26 +207,11 @@ def root_of_unity_audit(k: int, m: int, ambient: FieldCtx | None = None) -> Audi
     return AuditReport(k, m, i, l, False, entrants, ())
 
 
-def cubic_extension(ctx: FieldCtx) -> FieldCtx:
-    """GF(2^(3n)): the field housing cubic-divisor parameters for GF(2^n)."""
-    return create_field(3 * ctx.n)
-
-
 def _cubic_candidate(ext: FieldCtx, params: tuple[int, int, int, int]) -> TriPoly:
     c1, c4, b1, d = (ext.validate(v) for v in params)
-    terms: dict[tuple[int, int, int], int] = {}
-
-    def put(mono, coeff):
-        if coeff:
-            terms[mono] = coeff
-
-    for mono in ((2, 0, 0), (0, 2, 0), (0, 0, 2)):
-        put(mono, c1)
-    for mono in ((1, 1, 0), (1, 0, 1), (0, 1, 1)):
-        put(mono, c4)
-    for mono in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        put(mono, b1)
-    put((0, 0, 0), d)
+    terms = {(2, 0, 0): c1, (0, 2, 0): c1, (0, 0, 2): c1}
+    terms.update({(1, 1, 0): c4, (1, 0, 1): c4, (0, 1, 1): c4})
+    terms.update({(1, 0, 0): b1, (0, 1, 0): b1, (0, 0, 1): b1, (0, 0, 0): d})
     return denominator_surface(ext) + TriPoly(ext, terms)
 
 
@@ -260,7 +245,7 @@ def _trial_division_divides(p: TriPoly, divisor: TriPoly) -> bool:
 
 
 def _lift_to_cubic_extension(phi: TriPoly) -> TriPoly:
-    ext = cubic_extension(phi.ctx)
+    ext = create_field(3 * phi.ctx.n)  # houses the cubic-divisor parameters
     return embed_tripoly(phi, ext, subfield_embedding(phi.ctx, ext))
 
 

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apnforge.field import create_field
+from apnforge.phi import numerator_surface
 from apnforge.poly import (
     NotDivisible,
     PolyParseError,
@@ -27,6 +28,17 @@ def tripoly(ctx, n_terms=6, max_e=4):
     return st.dictionaries(expo, coeff, max_size=n_terms).map(
         lambda t: TriPoly(ctx, t)
     )
+
+
+def unipoly(ctx, n_terms=6, max_e=40):
+    coeff = st.integers(1, ctx.order - 1)
+    return st.dictionaries(st.integers(0, max_e), coeff, max_size=n_terms).map(
+        lambda t: UniPoly(ctx, t)
+    )
+
+
+def assert_zero_free(p):
+    assert 0 not in p.terms.values()
 
 
 def test_unipoly_strips_zero_coeffs():
@@ -56,13 +68,30 @@ def test_unipoly_evaluate_matches_pow_sum():
         ("x^2 + x^2", {}),
         ("x", {1: 1}),
         ("0x1*x^0", {0: 1}),
+        ("x^00003", {3: 1}),
+        ("x^3+x^3+x^3", {3: 1}),
+        pytest.param("x^" + "0" * 5000 + "3", {3: 1}, id="x^000...0003"),
     ],
 )
 def test_parse_unipoly(text, terms):
     assert parse_unipoly(text, F256).terms == terms
 
 
-@pytest.mark.parametrize("bad", ["", "x^", "y^3", "x^3 +", "0x*x", "x^-2", "3x"])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "",
+        "x^",
+        "y^3",
+        "x^3 +",
+        "0x*x",
+        "x^-2",
+        "3x",
+        "x^\u00b2",  # superscript two
+        "x^\u0663",  # Arabic-Indic three
+        pytest.param("x^" + "9" * 5000, id="x^999...9999"),
+    ],
+)
 def test_parse_unipoly_rejects_bad_syntax(bad):
     with pytest.raises(PolyParseError):
         parse_unipoly(bad, F256)
@@ -86,6 +115,7 @@ def test_tri_mul_known_products():
     y = linear_form(F2, 0, 1, 0)
     z = linear_form(F2, 0, 0, 1)
     xy = x + y
+    # the xy key cancels and leaves no term behind
     assert tri_mul(xy, xy).terms == {(2, 0, 0): 1, (0, 2, 0): 1}
     d = tri_mul(tri_mul(xy, x + z), y + z)
     assert d.terms == {
@@ -98,6 +128,52 @@ def test_tri_mul_known_products():
     }
     one = TriPoly.const(F2, 1)
     assert tri_mul(d, one) == d
+
+
+def test_unipoly_never_equals_tripoly():
+    assert UniPoly.zero(F8) != TriPoly.zero(F8)
+    assert UniPoly(F8, {0: 1}) != TriPoly.const(F8, 1)
+
+
+@settings(max_examples=60)
+@given(f=unipoly(F8), g=unipoly(F8), p=tripoly(F8), q=tripoly(F8))
+def test_no_zero_coefficient_survives(f, g, p, q):
+    for r in (f + g, f + f, p + q, p + p, tri_mul(p, q), p.square(), shift_xy(p)):
+        assert_zero_free(r)
+    assert_zero_free(numerator_surface(f))
+
+
+@settings(max_examples=60)
+@given(
+    q=tripoly(F8),
+    form=st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 7)).filter(
+        lambda f: any(f)
+    ),
+)
+def test_exact_div_quotient_is_zero_free(q, form):
+    assert_zero_free(exact_div_linear(tri_mul(q, linear_form(F8, *form)), form))
+
+
+@given(
+    pairs=st.lists(st.tuples(st.integers(0, 12), st.integers(1, 255)), min_size=1)
+)
+def test_parse_unipoly_accumulates_repeats(pairs):
+    want: dict[int, int] = {}
+    for e, c in pairs:
+        want[e] = want.get(e, 0) ^ c
+    f = parse_unipoly("+".join(f"0x{c:x}*x^{e}" for e, c in pairs), F256)
+    assert_zero_free(f)
+    assert f == UniPoly(F256, want)
+
+
+@settings(max_examples=60)
+@given(f=unipoly(F8), p=tripoly(F8), q=tripoly(F8))
+def test_insertion_order_does_not_matter(f, p, q):
+    g = UniPoly(F8, dict(reversed(list(f.terms.items()))))
+    r = TriPoly(F8, dict(reversed(list(p.terms.items()))))
+    assert g == f and hash(g) == hash(f)
+    assert r == p and hash(r) == hash(p)
+    assert p + q == q + p and hash(p + q) == hash(q + p)
 
 
 def test_tri_mul_rejects_mixed_contexts():

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from itertools import groupby, repeat
 from operator import lshift, mul, xor
 
-from .field import FieldCtx, create_field
-from .poly import ConstraintViolated, UniPoly
+from .field import LOG_TABLE_MAX_N, FieldCtx, create_field
+from .poly import DEGREE_CAP, ConstraintViolated, UniPoly
 
-SPECTRUM_MAX_N = 20
+SPECTRUM_MAX_N = LOG_TABLE_MAX_N  # every spectrum reads f's value table
 SCAN_MAX_N = 14  # a general input at n = 14 scans in about 24 s on a 2-core x86_64 host
 FULL_MAX_N = 11  # the (a, b) table of x^9+x^7 peaks at 132 MB for n = 11
 PROP1_MAX_N = 7
@@ -457,11 +457,18 @@ def ekp_admissible_u(ctx: FieldCtx) -> list[int]:
     return sorted(us)
 
 
+def _capped(tag: str, e: int) -> int:
+    """e, refused if it is above the exponent cap that UniPoly enforces."""
+    _require(e <= DEGREE_CAP, f"{tag} exponent {e} exceeds cap {DEGREE_CAP}")
+    return e
+
+
 def family_exponent(spec: FamilySpec) -> int | UniPoly:
     """Exponent of a monomial family, or the binomial itself for ekp / bcl.
 
     Constraints are enforced, so every value this returns is an APN instance
-    on its declared field.  Binomials are built over the default modulus.
+    on its declared field; an exponent above DEGREE_CAP is refused too.
+    Binomials are built over the default modulus.
     """
     tag = spec.family.lower()
     n, r, s = spec.n, spec.r, spec.s
@@ -470,26 +477,26 @@ def family_exponent(spec: FamilySpec) -> int | UniPoly:
     if tag == "gold":
         _require(r >= 1, "gold needs r >= 1")
         _require(math.gcd(r, n) == 1, f"gold needs gcd(r, n) = 1, got gcd({r}, {n}) = {math.gcd(r, n)}")
-        return 2**r + 1
+        return _capped(tag, 2**r + 1)
     if tag == "kasami-welch":
         _require(r >= 1, "kasami-welch needs r >= 1")
         _require(math.gcd(r, n) == 1, f"kasami-welch needs gcd(r, n) = 1, got gcd({r}, {n}) = {math.gcd(r, n)}")
         _require(n % 2 == 1, "kasami-welch needs odd n")
-        return 2 ** (2 * r) - 2**r + 1
+        return _capped(tag, 2 ** (2 * r) - 2**r + 1)
     if tag == "welch":
         _require(r >= 1 and n == 2 * r + 1, f"welch needs n = 2r + 1, got n={n}, r={r}")
-        return 2**r + 3
+        return _capped(tag, 2**r + 3)
     if tag == "niho":
         _require(r >= 1 and n == 2 * r + 1, f"niho needs n = 2r + 1, got n={n}, r={r}")
         if r % 2 == 0:
-            return 2**r + 2 ** (r // 2) - 1
-        return 2**r + 2 ** ((3 * r + 1) // 2) - 1
+            return _capped(tag, 2**r + 2 ** (r // 2) - 1)
+        return _capped(tag, 2**r + 2 ** ((3 * r + 1) // 2) - 1)
     if tag == "inverse":
         _require(r >= 1 and n == 2 * r + 1, f"inverse needs n = 2r + 1, got n={n}, r={r}")
-        return 2 ** (2 * r) - 1
+        return _capped(tag, 2 ** (2 * r) - 1)
     if tag == "dobbertin":
         _require(r >= 1 and n == 5 * r, f"dobbertin needs n = 5r, got n={n}, r={r}")
-        return 2 ** (4 * r) + 2 ** (3 * r) + 2 ** (2 * r) + 2**r - 1
+        return _capped(tag, 2 ** (4 * r) + 2 ** (3 * r) + 2 ** (2 * r) + 2**r - 1)
     if tag == "ekp":
         _require(n == 10, "the degree-36 binomial family lives in GF(2^10)")
         ctx = create_field(10)
@@ -502,10 +509,11 @@ def family_exponent(spec: FamilySpec) -> int | UniPoly:
     _require(s >= 1 and math.gcd(s, 3 * k) == 1, f"bcl needs gcd(s, 3k) = 1, got s={s}, k={k}")
     i = (s * k) % 3
     m = 3 - i
+    shifted = _capped(tag, 2 ** (i * k) + 2 ** (m * k + s))  # above 2^s + 1
     ctx = create_field(n)
     t = 2 ** (2 * k) + 2**k + 1
     w = next(a for a in range(1, ctx.order) if ctx.element_order(a) == t)
-    return UniPoly(ctx, {2**s + 1: 1, 2 ** (i * k) + 2 ** (m * k + s): w})
+    return UniPoly(ctx, {2**s + 1: 1, shifted: w})
 
 
 def family_poly(spec: FamilySpec) -> UniPoly:

@@ -265,7 +265,7 @@ def subfield_embedding(src: FieldCtx, dst: FieldCtx):
     return embed
 
 
-LOG_TABLE_MAX_N = 16
+LOG_TABLE_MAX_N = 20
 
 
 @lru_cache(maxsize=16)
@@ -276,6 +276,7 @@ def log_tables(ctx: FieldCtx) -> tuple[list[int], list[int]]:
     generator of the multiplicative group; log[0] is a placeholder, since 0
     has no logarithm.  Cached per context (the 16 most recent), so a field
     pays for its tables once and only if asked; callers must not modify them.
+    Larger fields raise ValueError: every library caller refuses them first.
     """
     if ctx.n > LOG_TABLE_MAX_N:
         raise ValueError(f"log tables are built for n <= {LOG_TABLE_MAX_N}, got {ctx.n}")

@@ -10,7 +10,7 @@ the one place that drops zeros.
 
 from __future__ import annotations
 
-from .field import LOG_TABLE_MAX_N, FieldCtx, log_tables
+from .field import FieldCtx, log_tables
 
 DEGREE_CAP = 1 << 16
 
@@ -100,13 +100,11 @@ class UniPoly(_SparsePoly):
     def value_table(self) -> list[int]:
         """[f(0), f(1), ..., f(q - 1)], the values at every element.
 
-        Up to LOG_TABLE_MAX_N each term c x^e is exp[(log c + e log x) mod
-        (q - 1)] at x != 0, from the field's log/antilog tables, and 0^0 = 1
-        keeps the constant term at x = 0.  Larger fields use evaluate.
+        Each term c x^e is exp[(log c + e log x) mod (q - 1)] at x != 0, from
+        the field's log/antilog tables (n <= LOG_TABLE_MAX_N, or ValueError),
+        and 0^0 = 1 keeps the constant term at x = 0.
         """
         ctx = self.ctx
-        if ctx.n > LOG_TABLE_MAX_N:
-            return [self.evaluate(x) for x in range(ctx.order)]
         exp, log = log_tables(ctx)
         m = ctx.order - 1
         logs = log[1:]  # log x for x = 1 .. q - 1
@@ -210,9 +208,15 @@ class TriPoly(_SparsePoly):
     @staticmethod
     def _check_keys(terms) -> None:
         for key in terms:
-            if len(key) != 3 or any(not isinstance(e, int) or e < 0 for e in key):
+            if len(key) != 3:
                 raise ValueError(f"bad exponent triple {key!r}")
-            if sum(key) > DEGREE_CAP:
+            i, j, k = key
+            if not (
+                isinstance(i, int) and isinstance(j, int) and isinstance(k, int)
+                and i >= 0 and j >= 0 and k >= 0
+            ):
+                raise ValueError(f"bad exponent triple {key!r}")
+            if i + j + k > DEGREE_CAP:
                 raise ValueError(f"total degree of {key!r} exceeds cap {DEGREE_CAP}")
 
     @classmethod

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import runpy
 import sys
@@ -223,6 +224,42 @@ def test_families_json_round_trips(capsys):
     ctx = create_field(4)
     for row in rows:
         assert parse_unipoly(row["function"], ctx).render() == row["function"]
+
+
+# sha256 of `families --n N` stdout for each N whose listing had no exponent
+# above DEGREE_CAP; refusing over-cap exponents must leave these bytes alone
+FAMILIES_STDOUT_SHA256 = {
+    1: "c0db1ec1e3116153ec4fc8084a237f17275df8a52207a9d3588083fe3313f137",
+    2: "2e0a663eec9331b589c5621209a020f446f6b52b5d4b4c942a7002c7131f2031",
+    3: "3df349d2ea33de2f3bed974c1393ffc2fc80ab8b4db846b64cb6cea304afbedc",
+    4: "2b086ed8a6407e3333a69165237ad33304b2585f3185d301a985557d066c3297",
+    5: "9c82432b6c60187108575b9c4f51e11d22b271c9d2724deb641dc4048eb00202",
+    6: "06d344de755a2f063f880aea88da4a1136714606817040ffd01b8dbefb7cfd2d",
+    7: "f6e8aac640ee41974906ef9323fca318a0739342c462e5ac75ebf867b726af19",
+    8: "292bba9b281fd9f93add4ef01713f8a597d90bb26c0cad26ed179a908b37a1e3",
+    9: "151ca6f78e082ca106ac96183e662150558457e91e9b9b839fcdf14b4cb6e8f0",
+    10: "b1e3e67034af522ac29b03b0ccf82adf00561cf366f41a4e8e917a90a7489d9d",
+    12: "0e8f9b84aeb4c439943ad28eace831887d11927dc39be46344db39b7d8359387",
+    14: "e54deeccff17e2b8b5ce7e78a7c11c9a7d022d26c7db6a1186a93a4f59e40067",
+    16: "f38c4c5882a758a5f464d9620dc74a13cf63216f05e308a590423e9a30b70cd1",
+}
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_families_lists_every_n(capsys, n):
+    # an exponent above DEGREE_CAP (Kasami-Welch r = 9 at n = 11 is 261633)
+    # is refused like any other inadmissible parameter, and skipped
+    code, out, _ = invoke(capsys, "families", "--n", str(n))
+    assert code == 0
+    header, *rows = out.splitlines()
+    assert header == "family  n  r  s  function"
+    assert rows
+    ctx = create_field(n)
+    for row in rows:
+        function = row.split("  ")[4]
+        assert parse_unipoly(function, ctx).render() == function
+    if n in FAMILIES_STDOUT_SHA256:
+        assert hashlib.sha256(out.encode()).hexdigest() == FAMILIES_STDOUT_SHA256[n]
 
 
 def test_usage_error_exit_2_with_example(capsys):

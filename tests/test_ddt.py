@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -27,7 +28,7 @@ from apnforge.ddt import (
 )
 from apnforge.field import FieldCtx, create_field
 from apnforge.phi import build_phi
-from apnforge.poly import ConstraintViolated, TriPoly, UniPoly
+from apnforge.poly import DEGREE_CAP, ConstraintViolated, TriPoly, UniPoly
 
 
 def test_gold_cube_is_apn_everywhere_small():
@@ -174,6 +175,23 @@ def test_value_table_matches_evaluate():
         for terms in cases:
             f = UniPoly(ctx, terms)
             assert f.value_table() == [f.evaluate(x) for x in range(q)], (n, terms)
+
+
+@pytest.mark.parametrize("n", [17, 20])
+def test_value_table_matches_evaluate_on_sampled_x(n):
+    # above the old table cap of 16; evaluate is sampled, since a whole
+    # field of bit-serial evaluations is the cost the tables remove.  Here
+    # q > DEGREE_CAP, so no exponent reaches q: the test above covers e >= q
+    ctx = create_field(n)
+    q = ctx.order
+    rng = random.Random(n)
+    xs = [0, 1, q - 1] + [rng.randrange(q) for _ in range(500)]
+    cases = [{57: 1, 0: rng.randrange(1, q)}, {DEGREE_CAP: rng.randrange(1, q), 3: 1, 0: 1}]
+    for terms in cases:
+        f = UniPoly(ctx, terms)
+        table = f.value_table()
+        assert len(table) == q
+        assert [table[x] for x in xs] == [f.evaluate(x) for x in xs], (n, terms)
 
 
 def _check_against_scan(f: UniPoly, path: str):
@@ -568,6 +586,15 @@ def test_projective_count_cap(monkeypatch):
         projective_point_count(UniPoly(create_field(SPECTRUM_MAX_N + 1), {9: 1}))
 
 
+def test_projective_count_above_16_reads_tables():
+    # the bit-serial fallback this replaced took about 18 s on a 2-core
+    # x86_64 host; with the log tables, building them included, under 1 s
+    start = time.perf_counter()
+    count = projective_point_count(UniPoly(create_field(17), {57: 1}))
+    assert time.perf_counter() - start < 5.0
+    assert count == 2**17 + 1
+
+
 def test_projective_count_degenerate_surface():
     # phi of x^3 is the constant 1: no zeros anywhere
     assert projective_point_count(UniPoly(create_field(4), {3: 1})) == 0
@@ -605,6 +632,25 @@ def test_family_exponents(spec, expected):
 )
 def test_family_constraints_enforced(spec):
     with pytest.raises(ConstraintViolated):
+        family_exponent(spec)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FamilySpec("kasami-welch", 11, 9),  # 2^18 - 2^9 + 1 = 261633
+        FamilySpec("gold", 17, 16),  # 2^16 + 1
+        FamilySpec("inverse", 19, 9),  # 2^18 - 1
+        FamilySpec("niho", 23, 11),  # 2^11 + 2^17 - 1
+        FamilySpec("bcl", 24, 0, 1),  # its second term is x^(2^16 + 2^9)
+    ],
+)
+def test_family_exponent_above_degree_cap_is_refused(spec, monkeypatch):
+    def no_field(*args):
+        raise AssertionError("built a field for an exponent over the cap")
+
+    monkeypatch.setattr(ddt_module, "create_field", no_field)
+    with pytest.raises(ConstraintViolated, match="exceeds cap 65536"):
         family_exponent(spec)
 
 

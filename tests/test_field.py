@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -193,6 +195,19 @@ def test_log_tables_invert_each_other_and_multiply(n, modulus):
     for a in range(1, q, 7):
         for b in range(1, q, 5):
             assert exp[(log[a] + log[b]) % (q - 1)] == ctx.mul(a, b)
+
+
+def test_log_tables_at_their_cap_on_sampled_pairs():
+    # every pair is O(q^2) at n = 20, so the products are sampled
+    ctx = create_field(LOG_TABLE_MAX_N)
+    exp, log = log_tables(ctx)
+    q = ctx.order
+    assert len(exp) == q - 1 and set(exp) == set(range(1, q))
+    rng = random.Random(20)
+    for _ in range(500):
+        i, a, b = rng.randrange(q - 1), rng.randrange(1, q), rng.randrange(1, q)
+        assert log[exp[i]] == i and exp[log[a]] == a
+        assert exp[(log[a] + log[b]) % (q - 1)] == ctx.mul(a, b)
 
 
 def test_log_tables_stop_at_their_cap():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from apnforge.field import create_field
 from apnforge.phi import numerator_surface
 from apnforge.poly import (
+    DEGREE_CAP,
     NotDivisible,
     PolyParseError,
     TriPoly,
@@ -295,6 +296,21 @@ def test_embed_tripoly_preserves_evaluation():
     for x in range(2):
         for y in range(2):
             assert big.eval(x, y, 1) == p.eval(x, y, 1)
+
+
+@pytest.mark.parametrize(
+    "key",
+    [(), (1, 2), (1, 2, 3, 4), "abc", ("1", 0, 0), (1.0, 0, 0), (None, 0, 0),
+     (-1, 0, 0), (0, 0, -2), (DEGREE_CAP, 1, 0), (0, 0, DEGREE_CAP + 1)],
+)
+def test_tripoly_refuses_bad_keys(key):
+    with pytest.raises(ValueError):
+        TriPoly(F8, {key: 1})
+
+
+def test_tripoly_accepts_bool_and_capped_keys():
+    assert TriPoly(F8, {(True, False, 1): 1}).terms == {(1, 0, 1): 1}
+    assert TriPoly(F8, {(0, DEGREE_CAP, 0): 1}).total_degree() == DEGREE_CAP
 
 
 def test_tripoly_render_graded_lex():

@@ -12,7 +12,8 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby, repeat
+from functools import lru_cache
+from itertools import combinations, groupby, repeat
 from operator import lshift, mul, xor
 
 from .field import LOG_TABLE_MAX_N, FieldCtx, create_field
@@ -37,27 +38,38 @@ class DiffSpectrum:
         q = self.ctx.order
         if len(self.counts) != q - 1:
             raise AssertionError("every difference a != 0 must have a row")
-        for a, hist in self.counts.items():
-            if not 0 < a < q:
-                raise AssertionError("difference values must be nonzero elements")
+        if not 0 < min(self.counts) <= max(self.counts) < q:
+            raise AssertionError("difference values must be nonzero elements")
+        for hist in self._distinct_rows().values():
             if any(c % 2 for c in hist):
                 raise AssertionError("odd solution count: pairing invariant broken")
             if sum(c * m for c, m in hist.items()) != q:
                 raise AssertionError("per-difference counts must sum to the field size")
 
+    def _distinct_rows(self) -> dict[int, dict[int, int]]:
+        """Each row dict once, keyed by id.
+
+        The power path gives every a the same dict and the quadratic path
+        one per rank, so the checks and statistics walk at most n + 1 rows
+        there instead of q - 1.
+        """
+        rows = self.counts.values()
+        return dict(zip(map(id, rows), rows))
+
     @property
     def uniformity(self) -> int:
-        return max(max(h) for h in self.counts.values())
+        return max(max(h) for h in self._distinct_rows().values())
 
     def is_apn(self) -> bool:
         return self.uniformity == 2
 
     def histogram(self) -> list[tuple[int, int]]:
         """Aggregated (count, frequency) pairs over all (a, b), ascending."""
+        rows = self._distinct_rows()
         agg: dict[int, int] = {}
-        for hist in self.counts.values():
-            for c, m in hist.items():
-                agg[c] = agg.get(c, 0) + m
+        for i, shared in Counter(map(id, self.counts.values())).items():
+            for c, m in rows[i].items():
+                agg[c] = agg.get(c, 0) + m * shared
         return sorted(agg.items())
 
     def to_json(self) -> dict:
@@ -150,33 +162,83 @@ def _monomial_row(ctx: FieldCtx, d: int) -> Counter:
     return Counter(map(xor, fv[1::2], fv[0::2]))
 
 
-def _gf2_rank(vectors: list[int], width: int) -> int:
-    """Rank over GF(2) of vectors of at most width bits."""
-    pivots = [0] * (width + 1)  # pivots[t]: the basis vector of bit length t
-    rank = 0
-    for v in vectors:
-        while v:
-            t = v.bit_length()
-            if not pivots[t]:
-                pivots[t] = v
-                rank += 1
-                break
-            v ^= pivots[t]
-    return rank
+@lru_cache(maxsize=None)
+def _bit_masks(n: int) -> tuple[int, ...]:
+    """X_0 .. X_(n-1) as q-bit ints: bit a of X_j is bit j of a, 0 <= a < q.
 
-
-def _quadratic_ranks(f: UniPoly):
-    """Rank of x -> f(x+a) + f(x) + f(a) + f(0) for a = 1 .. q - 1, in order.
-
-    The map is GF(2)-linear when every exponent of f has binary weight <= 2,
-    so its rank is that of its images of the basis 1, 2, 4, ..., 2^(n-1).
+    Each is a repeated byte pattern (bits 0..2 inside one byte, bit j >= 3
+    as runs of 2^(j-3) zero and 0xff bytes), read in one from_bytes.
     """
+    q = 1 << n
+    size = max(q >> 3, 1)
+    masks = []
+    for j in range(n):
+        if j < 3:
+            pattern = bytes([(0xAA, 0xCC, 0xF0)[j]]) * size
+        else:
+            run = 1 << (j - 3)
+            pattern = (bytes(run) + b"\xff" * run) * (size // (2 * run))
+        masks.append(int.from_bytes(pattern, "little") & ((1 << q) - 1))
+    return tuple(masks)
+
+
+def _quadratic_ranks(f: UniPoly) -> bytes:
+    """Ranks of x -> B(x, a) = f(x+a) + f(x) + f(a) + f(0): byte a - 1 for a = 1 .. q - 1.
+
+    B is GF(2)-bilinear when every exponent of f has binary weight <= 2.  So
+    bit k of B(e_i, a), e_i = 2^i, is the parity of a & w_ik, w_ik the set
+    of j with bit k of B(e_i, e_j) set, and the a where that bit is set form
+    one q-bit int: the XOR of the masks X_j (_bit_masks) over j in w_ik.
+
+    Row a's rank is that of the n images B(e_i, a).  They go into an XOR
+    basis keyed by leading bit, for every a at once, each "which a" held as
+    a q-bit int:
+      - pivots[k]: the a that have a basis vector led by bit k;
+      - basis[k][j]: bit j of that vector, read only on pivots[k];
+      - alive: the a where the vector being inserted is not yet placed, the
+        only a where it is read.
+    rank(a) is the number of pivot masks that contain a, summed in byte
+    lanes.  O(n^3) big-int operations; the value table is read only at the
+    n(n+1)/2 + 1 points 0, e_i and e_i + e_j.
+    """
+    n, q = f.ctx.n, f.ctx.order
     fv = f.value_table()
-    n = f.ctx.n
-    units = [1 << i for i in range(n)]
-    for a in range(1, f.ctx.order):
-        shift = fv[a] ^ fv[0]
-        yield _gf2_rank([fv[u ^ a] ^ fv[u] ^ shift for u in units], n)
+    masks = _bit_masks(n)
+    shift = [fv[1 << i] ^ fv[0] for i in range(n)]
+    form = [[0] * n for _ in range(n)]  # form[i][j] = B(e_i, e_j); B(x, x) = 0
+    for i, j in combinations(range(n), 2):
+        form[i][j] = form[j][i] = fv[(1 << i) | (1 << j)] ^ shift[i] ^ shift[j] ^ fv[0]
+    pivots = [0] * n
+    basis: list[list[int]] = [[] for _ in range(n)]
+    for row in form:
+        v = [0] * n  # v[k]: the a where bit k of B(e_i, a) is set
+        for mask, b in zip(masks, row):
+            while b:
+                low = b & -b
+                v[low.bit_length() - 1] ^= mask
+                b ^= low
+        alive = (1 << q) - 1
+        for k in range(n - 1, -1, -1):
+            lead = v[k] & alive  # the a where v is led by bit k
+            if not lead:
+                continue
+            if not pivots[k]:
+                basis[k] = v[:k]
+                pivots[k] = lead
+                alive ^= lead
+                continue
+            for j, w in enumerate(basis[k]):
+                v[j] ^= w & lead
+            new = lead & ~pivots[k]
+            if new:
+                # basis[k] is unset on new, where the loop above added it to
+                # v, so adding v there leaves v's own bits
+                basis[k] = [w ^ (u & new) for w, u in zip(basis[k], v)]
+                pivots[k] |= new
+                alive ^= new
+    lanes = sum(int.from_bytes(format(p, f"0{q}b").encode(), "big") for p in pivots)
+    zeros = int.from_bytes(b"0" * q, "big")  # one "0" (0x30) per lane and mask
+    return (lanes - n * zeros).to_bytes(q, "little")[1:]
 
 
 def _spectrum_path(f: UniPoly, full: bool = False) -> str:
@@ -229,7 +291,9 @@ def diff_spectrum(f: UniPoly, full: bool = False, jobs: int = 1) -> DiffSpectrum
         with b relabelled, so row 1 alone gives every histogram, in O(q);
       - quadratic (every exponent of binary weight <= 2): row a has 2^(n-r)
         solutions for each of 2^r values b, r the GF(2)-rank of the linear
-        map x -> f(x+a) + f(x) + f(a) + f(0), in O(q n^2);
+        map x -> f(x+a) + f(x) + f(a) + f(0); one elimination over q-bit
+        masks ranks every a at once (_quadratic_ranks), in O(n^3) big-int
+        operations after the value table;
       - scan (any other f, and every full table): every row a != 0 from its
         q/2 pairs {x, x + a}, each counted once (_pair_differences), capped
         at n <= SCAN_MAX_N, and a full table at n <= FULL_MAX_N; the other
@@ -250,7 +314,7 @@ def diff_spectrum(f: UniPoly, full: bool = False, jobs: int = 1) -> DiffSpectrum
         by_rank = {
             r: {1 << (ctx.n - r): 1 << r, 0: q - (1 << r)} for r in range(ctx.n + 1)
         }
-        counts = {a: by_rank[r] for a, r in enumerate(_quadratic_ranks(f), 1)}
+        counts = dict(zip(range(1, q), map(by_rank.__getitem__, _quadratic_ranks(f))))
         return DiffSpectrum(ctx=ctx, poly=f, counts=counts)
     all_a = list(range(1, q))
     workers = min(jobs, os.cpu_count() or 1, q - 1)
@@ -277,14 +341,17 @@ def is_apn(f: UniPoly) -> bool:
     Takes diff_spectrum's path: a power map checks row 1 only, a quadratic
     map needs rank n - 1 (a kernel of dimension 1) on every row, and any
     other f scans row by row, up to SCAN_MAX_N, stopping at the first row
-    whose q/2 pair values are not all distinct (a count above 2).
+    whose q/2 pair values are not all distinct (a count above 2).  The
+    quadratic path has no early exit: it ranks every row at once
+    (_quadratic_ranks), so a non-APN quadratic map costs as much as an APN
+    one, where a row-by-row rank could stop at the first row of lower rank.
     """
     half = f.ctx.order // 2
     path = _spectrum_path(f)
     if path == "power":
         return len(_monomial_row(f.ctx, max(f.terms))) == half
     if path == "quadratic":
-        return all(r == f.ctx.n - 1 for r in _quadratic_ranks(f))
+        return _quadratic_ranks(f).count(f.ctx.n - 1) == f.ctx.order - 1
     rows = _pair_differences(f.value_table(), range(1, f.ctx.order))
     return all(len(set(values)) == half for _, values in rows)
 
@@ -339,7 +406,8 @@ def _square_sum(g: UniPoly) -> int:
 
     A row's square sum is 4 sum_b c_b^2, c_b the number of pairs {x, x + a}
     with value b.  The power path takes q - 1 times row 1's; the quadratic
-    path 2^(2n - r) per row of rank r.  The scan tags g(x) with x << n, so
+    path 2^(2n - r) for each row of rank r, counting the rows of each rank
+    in the bytes _quadratic_ranks returns.  The scan tags g(x) with x << n, so
     every value carries its row, and counts the values of many rows in one
     Counter, summing and emptying it once it holds q values, so it stays
     O(q) and no row builds a histogram of its own.
@@ -350,7 +418,8 @@ def _square_sum(g: UniPoly) -> int:
     if path == "power":
         return (q - 1) * 4 * _sum_of_squares(_monomial_row(ctx, max(g.terms)))
     if path == "quadratic":
-        return sum(1 << (2 * ctx.n - r) for r in _quadratic_ranks(g))
+        ranks = _quadratic_ranks(g)
+        return sum(ranks.count(r) << (2 * ctx.n - r) for r in range(ctx.n + 1))
     tagged = list(map(xor, g.value_table(), map(lshift, range(q), repeat(ctx.n))))
     total = 0
     pairs = Counter()

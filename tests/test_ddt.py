@@ -15,6 +15,7 @@ from apnforge.ddt import (
     FULL_MAX_N,
     SCAN_MAX_N,
     SPECTRUM_MAX_N,
+    DiffSpectrum,
     FamilySpec,
     _spectrum_path,
     corollary_bound,
@@ -214,7 +215,7 @@ def test_power_path_matches_scan_every_monomial():
 def test_quadratic_path_matches_scan_seeded():
     rng = random.Random(4)
     for _ in range(40):
-        n = rng.randint(2, 8)
+        n = rng.randint(2, FULL_MAX_N)
         q = 1 << n
         exps = rng.sample([e for e in range(q) if e.bit_count() <= 2], rng.randint(2, 4))
         terms = {e: rng.randrange(1, q) for e in exps}
@@ -222,6 +223,78 @@ def test_quadratic_path_matches_scan_seeded():
         terms[1] = rng.randrange(q)  # linear term, zero or not
         f = UniPoly(create_field(n), terms)
         _check_against_scan(f, "power" if len([e for e in f.terms if e]) == 1 else "quadratic")
+
+
+def _oracle_rank(vectors: list[int]) -> int:
+    """Rank over GF(2) of a list of ints, by an XOR basis keyed by bit length."""
+    pivots: dict[int, int] = {}
+    for v in vectors:
+        while v:
+            t = v.bit_length()
+            if t not in pivots:
+                pivots[t] = v
+                break
+            v ^= pivots[t]
+    return len(pivots)
+
+
+def _oracle_quadratic_rank(fv: list[int], n: int, a: int) -> int:
+    """Rank of x -> f(x+a) + f(x) + f(a) + f(0) from its images of 1, 2, 4, ..., 2^(n-1),
+    one row a at a time, from the value table fv of f."""
+    shift = fv[a] ^ fv[0]
+    return _oracle_rank([fv[u ^ a] ^ fv[u] ^ shift for u in (1 << i for i in range(n))])
+
+
+def _quadratic_cases(rng: random.Random, n: int) -> list[UniPoly]:
+    """Quadratic f with a constant term, linear terms, exponents >= q, and an
+    additive-only f; every exponent has binary weight <= 2."""
+    ctx = create_field(n)
+    q = ctx.order
+    # exponents >= q where DEGREE_CAP allows them (n <= 14), else near the cap
+    beyond = [e for e in (2 * q + 1, 4 * q + 8) if e <= DEGREE_CAP] or [2**15 + 1, 2**14 + 8]
+    cases = [
+        {3: 1, 12: 1, 0: q - 1},
+        {e: rng.randrange(1, q) for e in beyond} | {1: rng.randrange(1, q)},
+        {e: rng.randrange(1, q) for e in (1, 1 << (n // 2), 1 << min(n + 1, 16))} | {0: rng.randrange(q)},
+    ]
+    exps = [e for e in range(1, min(4 * q, DEGREE_CAP + 1)) if e.bit_count() <= 2]
+    for _ in range(2):
+        terms = {e: rng.randrange(1, q) for e in rng.sample(exps, min(len(exps), 3))}
+        terms[0] = rng.randrange(q)
+        terms[1] = rng.randrange(q)
+        cases.append(terms)
+    return [UniPoly(ctx, terms) for terms in cases]
+
+
+def test_quadratic_ranks_match_per_row_oracle():
+    rng = random.Random(14)
+    for n in range(1, 11):
+        for f in _quadratic_cases(rng, n):
+            fv = f.value_table()
+            expected = bytes(_oracle_quadratic_rank(fv, n, a) for a in range(1, f.ctx.order))
+            assert ddt_module._quadratic_ranks(f) == expected, f
+
+
+@pytest.mark.parametrize("n", [15, 16, 17])
+def test_quadratic_ranks_match_oracle_on_sampled_a(n):
+    # above SCAN_MAX_N, where no scan can cross-check the quadratic path
+    rng = random.Random(n)
+    for f in _quadratic_cases(rng, n)[:3]:  # the constant, top-exponent and additive cases
+        fv = f.value_table()
+        ranks = ddt_module._quadratic_ranks(f)
+        assert len(ranks) == f.ctx.order - 1
+        for a in [1, f.ctx.order - 1] + rng.sample(range(2, f.ctx.order - 1), 100):
+            assert ranks[a - 1] == _oracle_quadratic_rank(fv, n, a), (f, a)
+
+
+def test_quadratic_spectrum_at_n18_ranks_every_row_at_once():
+    # one GF(2) elimination per row took about 3.5 s on a 2-core x86_64
+    # host; the one elimination over q-bit masks for every row about 0.7 s
+    f = UniPoly(create_field(18), {3: 1, 12: 5})
+    start = time.perf_counter()
+    spectrum = diff_spectrum(f)
+    assert time.perf_counter() - start < 2.0
+    assert spectrum.histogram() == [(0, 53674278912), (4, 12910067712), (8, 2134867968)]
 
 
 def test_fast_paths_match_scan_on_exponents_beyond_q():
@@ -398,6 +471,55 @@ def test_a_missing_row_is_caught(monkeypatch):
     monkeypatch.setattr(ddt_module, "_pair_differences", drops_last_row)
     with pytest.raises(AssertionError, match="must have a row"):
         diff_spectrum(UniPoly(create_field(5), {9: 1, 7: 1}))
+
+
+def _spectrum_of(n: int, counts: dict[int, dict[int, int]]) -> DiffSpectrum:
+    ctx = create_field(n)
+    return DiffSpectrum(ctx=ctx, poly=UniPoly(ctx, {3: 1}), counts=counts)
+
+
+def test_shared_rows_keep_the_spectrum_invariants():
+    q = 16
+    good = {2: 8, 0: 8}
+    _spectrum_of(4, dict.fromkeys(range(1, q), good))
+    odd = {1: 2, 2: 7, 0: 7}  # sums to q, but a count is odd
+    short = {2: 7, 0: 9}  # even counts summing to 14
+    for bad, message in ((odd, "odd solution count"), (short, "sum to the field size")):
+        with pytest.raises(AssertionError, match=message):
+            _spectrum_of(4, dict.fromkeys(range(1, q), bad))
+        mixed = dict.fromkeys(range(1, q), good)
+        mixed[7] = bad  # one distinct row among fourteen shared ones
+        with pytest.raises(AssertionError, match=message):
+            _spectrum_of(4, mixed)
+    for keys in (range(0, q - 1), range(2, q + 1)):  # a key of 0, a key of q
+        with pytest.raises(AssertionError, match="nonzero elements"):
+            _spectrum_of(4, dict.fromkeys(keys, good))
+    with pytest.raises(AssertionError, match="must have a row"):
+        _spectrum_of(4, dict.fromkeys(range(1, q - 1), good))
+
+
+def test_shared_rows_weigh_histogram_and_uniformity():
+    q = 16
+    counts = dict.fromkeys(range(1, q), {2: 8, 0: 8})
+    counts[5] = {4: 2, 2: 4, 0: 10}  # an equal-content copy must count on its own
+    counts[6] = dict(counts[5])
+    spectrum = _spectrum_of(4, counts)
+    assert spectrum.histogram() == [(0, 13 * 8 + 2 * 10), (2, 13 * 8 + 2 * 4), (4, 2 * 2)]
+    assert spectrum.uniformity == 4
+
+
+def test_power_histogram_matches_per_row_oracle():
+    for n, d in ((4, 5), (5, 7), (6, 9), (7, 57), (8, 11)):
+        f = UniPoly(create_field(n), {d: 3, 0: 1})
+        q = f.ctx.order
+        expected: dict[int, int] = {}
+        for row in _oracle_rows(f).values():
+            for c, m in _row_histogram(row, q).items():
+                expected[c] = expected.get(c, 0) + m
+        spectrum = diff_spectrum(f)
+        assert _spectrum_path(f) == "power"
+        assert spectrum.histogram() == sorted(expected.items()), (n, d)
+        assert spectrum.uniformity == max(expected), (n, d)
 
 
 def test_scan_cap_is_below_the_fast_path_cap():

@@ -261,6 +261,7 @@ def _family_rows(n: int, check: bool) -> list[dict]:
 
 
 def _cmd_families(args) -> int:
+    create_field(args.n)  # _family_rows skips inadmissible specs, so check n first
     rows = _family_rows(args.n, args.check)
     columns = ["family", "n", "r", "s", "function"] + (
         ["uniformity", "apn"] if args.check else []

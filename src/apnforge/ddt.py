@@ -27,49 +27,42 @@ PROP1_MAX_N = 7
 
 @dataclass
 class DiffSpectrum:
-    """Solution-count statistics of f(x+a) + f(x) = b over all a != 0, b."""
+    """Solution-count statistics of f(x+a) + f(x) = b over all a != 0, b.
+
+    rows holds one entry per distinct row histogram: the histogram, an
+    ascending tuple of (solution count, #b with that count) pairs, maps to
+    the number of differences a != 0 whose row has it.  A power map has one
+    entry and a quadratic map at most n + 1, whatever q is.
+    """
 
     ctx: FieldCtx
     poly: UniPoly
-    counts: dict[int, dict[int, int]]  # a -> {solution count -> #b with it}
+    rows: Counter  # ((solution count, #b with it), ...) -> #a with that row
     table: dict[int, dict[int, int]] | None = None  # a -> {b -> count}, --full
 
     def __post_init__(self):
         q = self.ctx.order
-        if len(self.counts) != q - 1:
+        if sum(self.rows.values()) != q - 1:
             raise AssertionError("every difference a != 0 must have a row")
-        if not 0 < min(self.counts) <= max(self.counts) < q:
-            raise AssertionError("difference values must be nonzero elements")
-        for hist in self._distinct_rows().values():
-            if any(c % 2 for c in hist):
+        for hist in self.rows:
+            if any(c % 2 for c, _ in hist):
                 raise AssertionError("odd solution count: pairing invariant broken")
-            if sum(c * m for c, m in hist.items()) != q:
+            if sum(c * m for c, m in hist) != q:
                 raise AssertionError("per-difference counts must sum to the field size")
-
-    def _distinct_rows(self) -> dict[int, dict[int, int]]:
-        """Each row dict once, keyed by id.
-
-        The power path gives every a the same dict and the quadratic path
-        one per rank, so the checks and statistics walk at most n + 1 rows
-        there instead of q - 1.
-        """
-        rows = self.counts.values()
-        return dict(zip(map(id, rows), rows))
 
     @property
     def uniformity(self) -> int:
-        return max(max(h) for h in self._distinct_rows().values())
+        return max(hist[-1][0] for hist in self.rows)
 
     def is_apn(self) -> bool:
         return self.uniformity == 2
 
     def histogram(self) -> list[tuple[int, int]]:
         """Aggregated (count, frequency) pairs over all (a, b), ascending."""
-        rows = self._distinct_rows()
-        agg: dict[int, int] = {}
-        for i, shared in Counter(map(id, self.counts.values())).items():
-            for c, m in rows[i].items():
-                agg[c] = agg.get(c, 0) + m * shared
+        agg: Counter = Counter()
+        for hist, shared in self.rows.items():
+            for c, m in hist:
+                agg[c] += m * shared
         return sorted(agg.items())
 
     def to_json(self) -> dict:
@@ -145,11 +138,12 @@ def _pair_differences(fv: list[int], a_list):
             yield a, map(xor, low, _xor_reindex(high, a - t, min(t, block)))
 
 
-def _pair_histogram(pairs: Counter, q: int) -> dict[int, int]:
-    """count -> #b with that count, for one row given as value -> #pairs."""
-    hist = {2 * c: m for c, m in Counter(pairs.values()).items()}
-    hist[0] = q - len(pairs)  # at most q/2 values occur
-    return hist
+def _pair_histogram(pairs: Counter, q: int) -> tuple[tuple[int, int], ...]:
+    """One row's histogram, ((count, #b with that count), ...) ascending, for
+    the row given as value -> #pairs.  At most q/2 values occur, so count 0
+    always has some b."""
+    hist = sorted((2 * c, m) for c, m in Counter(pairs.values()).items())
+    return ((0, q - len(pairs)), *hist)
 
 
 def _monomial_row(ctx: FieldCtx, d: int) -> Counter:
@@ -273,14 +267,14 @@ def _spectrum_rows(args):
     n, modulus, terms, a_list, full = args
     ctx = create_field(n, modulus)
     q = ctx.order
-    counts: dict[int, dict[int, int]] = {}
+    rows: Counter = Counter()
     table: dict[int, dict[int, int]] = {}
     for a, values in _pair_differences(UniPoly(ctx, terms).value_table(), a_list):
         pairs = Counter(values)
-        counts[a] = _pair_histogram(pairs, q)
+        rows[_pair_histogram(pairs, q)] += 1
         if full:
             table[a] = {b: 2 * c for b, c in pairs.items()}
-    return counts, table
+    return rows, table
 
 
 def diff_spectrum(f: UniPoly, full: bool = False, jobs: int = 1) -> DiffSpectrum:
@@ -298,28 +292,31 @@ def diff_spectrum(f: UniPoly, full: bool = False, jobs: int = 1) -> DiffSpectrum
         q/2 pairs {x, x + a}, each counted once (_pair_differences), capped
         at n <= SCAN_MAX_N, and a full table at n <= FULL_MAX_N; the other
         paths go up to SPECTRUM_MAX_N.
-    Rows with the same histogram may share one dict.
+    Each path counts the rows of each distinct histogram, so the spectrum
+    holds one entry per histogram, never one per difference a.
     jobs > 1 splits the scan's nonzero differences across processes, at most
-    one per CPU and one per row; rows are keyed by the difference value, so
-    the merge cannot depend on worker order.  The other paths run serially.
+    one per CPU and one per row; the workers' counts are added, so the merge
+    cannot depend on worker order.  The other paths run serially.
     """
     ctx = f.ctx
     q = ctx.order
     path = _spectrum_path(f, full)
     if path == "power":
         hist = _pair_histogram(_monomial_row(ctx, max(f.terms)), q)
-        return DiffSpectrum(ctx=ctx, poly=f, counts=dict.fromkeys(range(1, q), hist))
+        return DiffSpectrum(ctx=ctx, poly=f, rows=Counter({hist: q - 1}))
     if path == "quadratic":
         # rank r: 2^(n-r) solutions for each of the 2^r values of the coset
-        by_rank = {
-            r: {1 << (ctx.n - r): 1 << r, 0: q - (1 << r)} for r in range(ctx.n + 1)
-        }
-        counts = dict(zip(range(1, q), map(by_rank.__getitem__, _quadratic_ranks(f))))
-        return DiffSpectrum(ctx=ctx, poly=f, counts=counts)
+        ranks = _quadratic_ranks(f)
+        rows = Counter({
+            ((0, q - (1 << r)), (1 << (ctx.n - r), 1 << r)): ranks.count(r)
+            for r in range(ctx.n + 1)
+            if r in ranks
+        })
+        return DiffSpectrum(ctx=ctx, poly=f, rows=rows)
     all_a = list(range(1, q))
     workers = min(jobs, os.cpu_count() or 1, q - 1)
     if workers <= 1 or q < 64:
-        counts, table = _spectrum_rows((ctx.n, ctx.modulus, f.terms, all_a, full))
+        rows, table = _spectrum_rows((ctx.n, ctx.modulus, f.terms, all_a, full))
     else:
         import multiprocessing
 
@@ -327,12 +324,12 @@ def diff_spectrum(f: UniPoly, full: bool = False, jobs: int = 1) -> DiffSpectrum
             (ctx.n, ctx.modulus, f.terms, all_a[i::workers], full)
             for i in range(workers)
         ]
-        counts, table = {}, {}
+        rows, table = Counter(), {}
         with multiprocessing.get_context("fork").Pool(workers) as pool:
-            for part_counts, part_table in pool.map(_spectrum_rows, chunks):
-                counts.update(part_counts)
+            for part_rows, part_table in pool.map(_spectrum_rows, chunks):
+                rows.update(part_rows)
                 table.update(part_table)
-    return DiffSpectrum(ctx=ctx, poly=f, counts=counts, table=table if full else None)
+    return DiffSpectrum(ctx=ctx, poly=f, rows=rows, table=table if full else None)
 
 
 def is_apn(f: UniPoly) -> bool:

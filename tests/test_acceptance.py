@@ -140,8 +140,9 @@ def test_criterion_08_evenness_of_solution_counts():
     ]
     for n, terms in specs:
         spectrum = diff_spectrum(UniPoly(create_field(n), terms))
-        for hist in spectrum.counts.values():
-            assert all(count % 2 == 0 for count in hist), (n, terms)
+        assert sum(spectrum.rows.values()) == (1 << n) - 1, (n, terms)
+        for hist in spectrum.rows:
+            assert all(count % 2 == 0 for count, _ in hist), (n, terms)
 
 
 def test_criterion_09_lucas():

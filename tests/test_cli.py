@@ -277,8 +277,9 @@ def test_usage_error_exit_2_with_example(capsys):
         ["coprime", "--k", "2", "--d", "5"],
         ["gold", "--k", "2"],
         ["phi", "--j", "5"],
+        ["families"],
     ],
-    ids=["audit", "coprime", "gold", "phi"],
+    ids=["audit", "coprime", "gold", "phi", "families"],
 )
 def test_n_zero_is_domain_error(capsys, argv):
     code, out, err = invoke(capsys, *argv, "--n", "0")

@@ -62,14 +62,9 @@ def test_full_table_consistent_with_histogram():
     ctx = create_field(4)
     spec = diff_spectrum(UniPoly(ctx, {3: 1, 2: 1}), full=True)
     assert spec.table is not None
-    for a, row in spec.table.items():
-        hist: dict[int, int] = {}
-        for c in row.values():
-            hist[c] = hist.get(c, 0) + 1
-        missed = ctx.order - len(row)
-        if missed:
-            hist[0] = missed
-        assert hist == spec.counts[a]
+    assert len(spec.table) == ctx.order - 1
+    hists = Counter(_row_histogram(row, ctx.order) for row in spec.table.values())
+    assert hists == spec.rows
 
 
 def test_parallel_merge_matches_serial():
@@ -77,7 +72,7 @@ def test_parallel_merge_matches_serial():
     f = UniPoly(ctx, {9: 1, 5: 1})
     a = diff_spectrum(f, full=True, jobs=1)
     b = diff_spectrum(f, full=True, jobs=3)
-    assert a.counts == b.counts
+    assert a.rows == b.rows
     assert a.table == b.table
 
 
@@ -123,7 +118,7 @@ def test_spectrum_workers_are_clamped(monkeypatch, pool_sizes, jobs, cpus, n, wo
     serial = diff_spectrum(f, full=True)
     clamped = diff_spectrum(f, full=True, jobs=jobs)
     assert pool_sizes == ([] if workers is None else [workers])
-    assert (clamped.counts, clamped.table) == (serial.counts, serial.table)
+    assert (clamped.rows, clamped.table) == (serial.rows, serial.table)
 
 
 def test_fast_paths_start_no_pool(monkeypatch, pool_sizes):
@@ -140,8 +135,9 @@ def test_fast_paths_start_no_pool(monkeypatch, pool_sizes):
 @given(terms=st.dictionaries(st.integers(1, 20), st.integers(1, 15), min_size=1, max_size=4))
 def test_every_solution_count_is_even(terms):
     spec = diff_spectrum(UniPoly(create_field(4), terms))
-    for hist in spec.counts.values():
-        assert all(c % 2 == 0 for c in hist)
+    assert sum(spec.rows.values()) == 15
+    for hist in spec.rows:
+        assert all(c % 2 == 0 for c, _ in hist)
 
 
 def test_spectrum_cap():
@@ -196,10 +192,23 @@ def test_value_table_matches_evaluate_on_sampled_x(n):
 
 
 def _check_against_scan(f: UniPoly, path: str):
-    """The fast path agrees with the exhaustive scan on every row and on APN."""
+    """The fast path agrees with the exhaustive scan on every row and on APN.
+
+    Equal row classes on the power path mean every scanned row has row 1's
+    histogram; on the quadratic path each scanned row a must also have the
+    shape its own rank gives, largest count 2^(n - r) on 2^r values b."""
     assert _spectrum_path(f) == path
     scan = diff_spectrum(f, full=True)
-    assert diff_spectrum(f).counts == scan.counts, (f, path)
+    assert diff_spectrum(f).rows == scan.rows, (f, path)
+    if path == "power":
+        assert len(scan.rows) == 1, f
+    if path == "quadratic":
+        n, q = f.ctx.n, f.ctx.order
+        ranks = ddt_module._quadratic_ranks(f)
+        for a, row in scan.table.items():
+            r = ranks[a - 1]
+            assert max(row.values()) == 1 << (n - r), (f, a)
+            assert _row_histogram(row, q) == ((0, q - (1 << r)), (1 << (n - r), 1 << r)), (f, a)
     assert is_apn(f) == scan.is_apn(), (f, path)
 
 
@@ -355,15 +364,16 @@ def _difference_row(fv: list[int], a: int) -> dict[int, int]:
     return per_b
 
 
-def _row_histogram(per_b: dict[int, int], q: int) -> dict[int, int]:
-    """count -> #b with that count, for one row b -> count of the table."""
+def _row_histogram(per_b: dict[int, int], q: int) -> tuple[tuple[int, int], ...]:
+    """((count, #b with that count), ...) ascending, for one row b -> count
+    of the table."""
     hist: dict[int, int] = {}
     for c in per_b.values():
         hist[c] = hist.get(c, 0) + 1
     missed = q - len(per_b)
     if missed:
         hist[0] = missed
-    return hist
+    return tuple(sorted(hist.items()))
 
 
 def _oracle_rows(f: UniPoly) -> dict[int, dict[int, int]]:
@@ -376,16 +386,16 @@ def _oracle_square_sum(g: UniPoly) -> int:
 
 
 def _check_against_oracle(f: UniPoly, monkeypatch):
-    """counts, the full table, is_apn and the point count agree with the
-    per-element oracle; the point count is recomputed with the oracle's
-    square sum in place of the kernel's."""
+    """The row classes, the full table, is_apn and the point count agree
+    with the per-element oracle; the point count is recomputed with the
+    oracle's square sum in place of the kernel's."""
     q = f.ctx.order
     rows = _oracle_rows(f)
-    hists = {a: _row_histogram(row, q) for a, row in rows.items()}
+    hists = Counter(_row_histogram(row, q) for row in rows.values())
     apn = all(max(row.values()) <= 2 for row in rows.values())
-    assert diff_spectrum(f).counts == hists, f
+    assert diff_spectrum(f).rows == hists, f
     full = diff_spectrum(f, full=True)
-    assert (full.counts, full.table) == (hists, rows), f
+    assert (full.rows, full.table) == (hists, rows), f
     assert is_apn(f) == apn, f
     points = projective_point_count(f)
     with monkeypatch.context() as patch:
@@ -428,7 +438,7 @@ def test_pooled_kernel_matches_oracle(monkeypatch, pool_sizes):
             rows = _oracle_rows(f)
             spec = diff_spectrum(f, full=True, jobs=3)
             assert spec.table == rows, f
-            assert spec.counts == {a: _row_histogram(row, f.ctx.order) for a, row in rows.items()}
+            assert spec.rows == Counter(_row_histogram(row, f.ctx.order) for row in rows.values())
     assert pool_sizes == [3] * 6
 
 
@@ -473,39 +483,75 @@ def test_a_missing_row_is_caught(monkeypatch):
         diff_spectrum(UniPoly(create_field(5), {9: 1, 7: 1}))
 
 
-def _spectrum_of(n: int, counts: dict[int, dict[int, int]]) -> DiffSpectrum:
+def _spectrum_of(n: int, rows: dict) -> DiffSpectrum:
     ctx = create_field(n)
-    return DiffSpectrum(ctx=ctx, poly=UniPoly(ctx, {3: 1}), counts=counts)
+    return DiffSpectrum(ctx=ctx, poly=UniPoly(ctx, {3: 1}), rows=Counter(rows))
 
 
-def test_shared_rows_keep_the_spectrum_invariants():
+def test_row_classes_keep_the_spectrum_invariants():
     q = 16
-    good = {2: 8, 0: 8}
-    _spectrum_of(4, dict.fromkeys(range(1, q), good))
-    odd = {1: 2, 2: 7, 0: 7}  # sums to q, but a count is odd
-    short = {2: 7, 0: 9}  # even counts summing to 14
+    good = ((0, 8), (2, 8))
+    _spectrum_of(4, {good: q - 1})
+    for total in (q - 2, q):  # one row short, one row too many
+        with pytest.raises(AssertionError, match="must have a row"):
+            _spectrum_of(4, {good: total})
+        with pytest.raises(AssertionError, match="must have a row"):
+            _spectrum_of(4, {good: total - 1, ((0, 10), (2, 4), (4, 2)): 1})
+    odd = ((0, 7), (1, 2), (2, 7))  # sums to q, but a count is odd
+    short = ((0, 9), (2, 7))  # even counts summing to 14
     for bad, message in ((odd, "odd solution count"), (short, "sum to the field size")):
         with pytest.raises(AssertionError, match=message):
-            _spectrum_of(4, dict.fromkeys(range(1, q), bad))
-        mixed = dict.fromkeys(range(1, q), good)
-        mixed[7] = bad  # one distinct row among fourteen shared ones
+            _spectrum_of(4, {bad: q - 1})
         with pytest.raises(AssertionError, match=message):
-            _spectrum_of(4, mixed)
-    for keys in (range(0, q - 1), range(2, q + 1)):  # a key of 0, a key of q
-        with pytest.raises(AssertionError, match="nonzero elements"):
-            _spectrum_of(4, dict.fromkeys(keys, good))
-    with pytest.raises(AssertionError, match="must have a row"):
-        _spectrum_of(4, dict.fromkeys(range(1, q - 1), good))
+            _spectrum_of(4, {good: q - 2, bad: 1})  # one row of fifteen
 
 
-def test_shared_rows_weigh_histogram_and_uniformity():
-    q = 16
-    counts = dict.fromkeys(range(1, q), {2: 8, 0: 8})
-    counts[5] = {4: 2, 2: 4, 0: 10}  # an equal-content copy must count on its own
-    counts[6] = dict(counts[5])
-    spectrum = _spectrum_of(4, counts)
+def test_equal_scan_rows_merge_into_one_class():
+    # the full table forces the scan; a power map's rows all share row 1's
+    # histogram, a quadratic map's rows one histogram per rank
+    ctx = create_field(6)
+    q = ctx.order
+    power = diff_spectrum(UniPoly(ctx, {5: 1}), full=True)
+    assert power.rows == Counter({((0, 48), (4, 16)): q - 1})
+    quadratic = diff_spectrum(UniPoly(ctx, {33: 1, 3: 1}), full=True)
+    per_a = Counter(_row_histogram(row, q) for row in quadratic.table.values())
+    assert quadratic.rows == per_a
+    assert 1 < len(quadratic.rows) <= ctx.n + 1
+    assert max(quadratic.rows.values()) > 1
+
+
+def test_row_classes_weigh_histogram_and_uniformity():
+    spectrum = _spectrum_of(4, {((0, 8), (2, 8)): 13, ((0, 10), (2, 4), (4, 2)): 2})
     assert spectrum.histogram() == [(0, 13 * 8 + 2 * 10), (2, 13 * 8 + 2 * 4), (4, 2 * 2)]
     assert spectrum.uniformity == 4
+    spectrum = _spectrum_of(4, {((0, 8), (2, 8)): 14, ((0, 12), (4, 4)): 1})
+    assert spectrum.histogram() == [(0, 14 * 8 + 12), (2, 14 * 8), (4, 4)]
+    assert spectrum.uniformity == 4
+
+
+def test_spectrum_size_does_not_grow_with_q():
+    # q - 1 = 65535 differences, one entry per distinct row histogram
+    ctx = create_field(16)
+    q = ctx.order
+    apn_row = ((0, 32768), (2, 32768))
+    power = diff_spectrum(UniPoly(ctx, {57: 1}))
+    assert power.rows == Counter({apn_row: q - 1})
+    assert power.histogram() == [(0, 2147450880), (2, 2147450880)]
+    quadratic = diff_spectrum(UniPoly(ctx, {3: 1, 12: 5}))
+    assert len(quadratic.rows) <= ctx.n + 1
+    assert sum(quadratic.rows.values()) == q - 1
+    assert quadratic.rows == Counter({apn_row: q - 1})
+    assert quadratic.histogram() == [(0, 2147450880), (2, 2147450880)]
+    ranked = diff_spectrum(UniPoly(ctx, {33: 1, 3: 1}))  # four ranks occur
+    assert ranked.rows == Counter({
+        apn_row: 38280,
+        ((0, 49152), (4, 16384)): 25560,
+        ((0, 57344), (8, 8192)): 1680,
+        ((0, 61440), (16, 4096)): 15,
+    })
+    assert ranked.histogram() == [
+        (0, 2607943680), (2, 1254359040), (4, 418775040), (8, 13762560), (16, 61440)
+    ]
 
 
 def test_power_histogram_matches_per_row_oracle():
@@ -514,7 +560,7 @@ def test_power_histogram_matches_per_row_oracle():
         q = f.ctx.order
         expected: dict[int, int] = {}
         for row in _oracle_rows(f).values():
-            for c, m in _row_histogram(row, q).items():
+            for c, m in _row_histogram(row, q):
                 expected[c] = expected.get(c, 0) + m
         spectrum = diff_spectrum(f)
         assert _spectrum_path(f) == "power"

@@ -1,5 +1,6 @@
-"""The runtime needs only the standard library."""
+"""The runtime needs only the standard library, and its sources parse as Python 3.10."""
 
+import ast
 import json
 import subprocess
 import sys
@@ -28,3 +29,11 @@ def test_import_loads_only_standard_library_modules():
         if name not in sys.stdlib_module_names and name not in ("apnforge", "__main__")
     ]
     assert foreign == []
+
+
+def test_sources_parse_as_python_3_10():
+    # the runtime floor is Python 3.10: syntax such as except* must not appear
+    sources = sorted((SRC / "apnforge").glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

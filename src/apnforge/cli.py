@@ -168,9 +168,11 @@ def _cmd_gold(args) -> int:
 
 
 def _cmd_coprime(args) -> int:
-    ambient = None if args.n is None else create_field(args.n)
     formula = coprime_gold_formula(args.k, args.d) if args.d % 2 else None
-    brute = coprime_bruteforce(args.k, args.d, ambient)
+    brute = coprime_bruteforce(args.k, args.d)
+    # the answer does not depend on the field; --n is only checked to contain GF(2^k)
+    if args.n is not None and create_field(args.n).n % args.k:
+        raise ConstraintViolated(f"GF(2^{args.n}) does not contain GF(2^{args.k})")
     payload = {
         "k": args.k,
         "d": args.d,
@@ -481,7 +483,7 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, default=None, help="ambient degree (default k)")
+    p.add_argument("--n", type=int, default=None, help="field degree, checked to be a multiple of k")
     formats(p, "json")
     p.set_defaults(func=_cmd_coprime)
 

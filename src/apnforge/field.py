@@ -43,17 +43,6 @@ DEFAULT_MODULI = {
 }
 
 
-def _pmul(a: int, b: int) -> int:
-    """Carry-less product of two GF(2)[x] polynomials."""
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        a <<= 1
-        b >>= 1
-    return r
-
-
 def _pmod(a: int, m: int) -> int:
     """Remainder of a modulo m in GF(2)[x]."""
     dm = m.bit_length()
@@ -73,10 +62,11 @@ def _pgcd(a: int, b: int) -> int:
 
 
 def _x_pow_2e_mod(e: int, m: int) -> int:
-    # x^(2^e) mod m by e squarings of x
+    # x^(2^e) mod m by e squarings of x; a square over GF(2) moves bit i to
+    # bit 2i, which joining the binary digits with "0" does in one pass
     r = _pmod(2, m)
     for _ in range(e):
-        r = _pmod(_pmul(r, r), m)
+        r = _pmod(int("0".join(format(r, "b")), 2), m)
     return r
 
 

@@ -20,9 +20,18 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .field import FieldCtx, create_field, subfield_embedding
+from .field import (
+    MAX_DEGREE,
+    FieldCtx,
+    _pgcd,
+    _pmod,
+    _x_pow_2e_mod,
+    create_field,
+    subfield_embedding,
+)
 from .phi import build_phi, denominator_surface
 from .poly import (
+    DEGREE_CAP,
     ConstraintViolated,
     NotDivisible,
     TriPoly,
@@ -32,7 +41,11 @@ from .poly import (
     exact_div_linear,
 )
 
-BRUTEFORCE_DEGREE_CAP = 1 << 8
+# Tail terms above this degree are left out of the screen's per-term
+# coprimality scan.  coprime_bruteforce itself reaches DEGREE_CAP; the filter
+# stays until Thm 5 gets its bound on deg h, which decides which terms may
+# certify, so that screen verdicts do not change before then.
+PER_TERM_SCAN_MAX_DEGREE = 1 << 8
 LINEAR_SCAN_MAX_M = 8
 
 
@@ -113,32 +126,53 @@ def _numerator_vanishes(ctx: FieldCtx, j: int, alpha: int, beta: int) -> bool:
     return True
 
 
-def coprime_bruteforce(k: int, d: int, ambient: FieldCtx | None = None) -> bool:
-    """Exhaustive check that phi_(2^k+1) and phi_d share no factor.
+def _plus_one_power(m: int) -> int:
+    # (t+1)^m in GF(2)[t]: the product of t^(2^b) + 1 over the set bits b of m
+    r, step = 1, 1
+    while m:
+        if m & 1:
+            r ^= r << step
+        m >>= 1
+        step <<= 1
+    return r
+
+
+def coprime_bruteforce(k: int, d: int) -> bool:
+    """Whether phi_(2^k+1) and phi_d share no factor, decided by one gcd in GF(2)[t].
 
     phi_(2^k+1) is a product of the forms x + a*y + (a+1)*z over a in
     GF(2^k) minus GF(2), so a shared factor must be one of those forms.  No
     such form divides D = (x+y)(x+z)(y+z), so it divides phi_d exactly when
-    it divides N_d = D * phi_d, for every d, even d included.  The scan
-    substitutes each form into N_d and reads off one coefficient per submask
-    of d, without building either surface.  linear_form_divides, which
-    divides phi_d itself by the form, is the independent oracle in the tests.
+    it divides N_d = D * phi_d, for every d, even d included.  Substituting
+    x = a*y + (a+1)*z into N_d leaves one coefficient per submask s of d
+    (Lucas), and each is a fixed polynomial over GF(2) evaluated at a:
+
+        Q_s(t) = t^s (t+1)^(d-s) + (t+1)^s t^(d-s) + [s = d] + [s = 0].
+
+    So the dividing forms are the roots a != 0, 1 of
+    G = gcd(t^(2^k) + t, Q_s for every submask s).  Every Q_s vanishes at 0
+    and 1, and t^(2^k) + t is squarefree, so phi_d is coprime to the Gold
+    product exactly when G = t(t+1).  The walk starts at s = d, where
+    Q_d = t^d + (t+1)^d + 1 is nonzero unless d is a power of two, and stops
+    as soon as G = t(t+1).  No field is built and no element enumerated.
     """
-    if d < 3:
-        raise ConstraintViolated(f"d must be at least 3, got {d}")
-    if d > BRUTEFORCE_DEGREE_CAP:
-        raise ConstraintViolated(f"d above the brute-force cap {BRUTEFORCE_DEGREE_CAP}")
-    if ambient is None:
-        ambient = create_field(k)
-    if ambient.n % k:
-        raise ConstraintViolated(f"ambient GF(2^{ambient.n}) does not contain GF(2^{k})")
+    if not 1 <= k <= MAX_DEGREE:
+        raise ConstraintViolated(f"k must be in 1..{MAX_DEGREE}, got {k}")
+    if not 3 <= d <= DEGREE_CAP:
+        raise ConstraintViolated(f"d must be in 3..{DEGREE_CAP}, got {d}")
     if d & (d - 1) == 0:
         return False  # phi_d is zero and nothing is coprime to zero
-    return all(
-        not _numerator_vanishes(ambient, d, alpha, alpha ^ 1)
-        for alpha in ambient.subfield_elements(k)
-        if alpha > 1
-    )
+    g = None
+    for s in _submasks(d):
+        q = (_plus_one_power(d - s) << s) ^ (_plus_one_power(s) << (d - s)) ^ (s == d) ^ (s == 0)
+        if g is None:
+            # deg Q_d = d minus its lowest bit >= 2, so t = 0b10 is already reduced
+            g = _pgcd(q, _x_pow_2e_mod(k, q) ^ 0b10)
+        else:
+            g = _pgcd(g, _pmod(q, g))
+        if g == 0b110:  # t(t+1): no root outside GF(2)
+            return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -557,7 +591,7 @@ def screen_exceptional(f: UniPoly) -> Verdict:
                 {"k": k, "h_degree": dh},
                 "not applicable; deg h is even or below 3",
             )
-        eligible = [j for j in tail if 3 <= j <= BRUTEFORCE_DEGREE_CAP]
+        eligible = [j for j in tail if 3 <= j <= PER_TERM_SCAN_MAX_DEGREE]
         hit, detail = _scan_terms(k, eligible)
         note("per_term_coprimality", {"k": k, "term_degrees": eligible}, detail)
         if hit is not None:
@@ -644,7 +678,7 @@ _PRECONDITIONS = {
     "per_term_coprimality": lambda f, d, t, i: (
         gold_param(d) == i["k"]
         and i["term_degrees"]
-        == [j for j in sorted(f.terms) if j != d and 3 <= j <= BRUTEFORCE_DEGREE_CAP]
+        == [j for j in sorted(f.terms) if j != d and 3 <= j <= PER_TERM_SCAN_MAX_DEGREE]
     ),
     "boundary_shape": lambda f, d, t, i: (
         gold_param(d) == i["k"]

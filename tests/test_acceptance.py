@@ -78,11 +78,18 @@ def test_criterion_03_even_identity():
 def test_criterion_04_coprimality_oracle_agreement():
     with budget(120):
         cases = 0
-        for k in (2, 3, 4, 5):
-            for d in range(3, 66, 2):
+        for k in range(1, 25):
+            for d in range(3, 256, 2):
                 assert coprime_gold_formula(k, d) == coprime_bruteforce(k, d), (k, d)
                 cases += 1
-        assert cases == 128
+            # even d = 2^s*m: phi_d = D^(2^s-1) * phi_m^(2^s), and D shares no
+            # factor with the Gold forms; m = 1 leaves the zero surface
+            for d in range(4, 256, 2):
+                m = d // (d & -d)
+                expected = m > 1 and coprime_gold_formula(k, m)
+                assert coprime_bruteforce(k, d) == expected, (k, d)
+                cases += 1
+        assert cases == 24 * (127 + 126)
         assert coprime_bruteforce(2, 9) is True
         assert coprime_bruteforce(4, 5) is False
         assert coprime_bruteforce(3, 9) is False

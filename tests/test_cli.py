@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import runpy
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -67,6 +69,54 @@ def test_coprime_even_d_has_null_formula(capsys):
     assert payload["formula"] is None
     assert payload["agree"] is None
     assert payload["bruteforce"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--k", "0", "--d", "5"],
+        ["--k", "25", "--d", "5"],
+        ["--k", "4", "--d", "2"],
+        ["--k", "4", "--d", "65537"],
+        ["--k", "2", "--d", "5", "--n", "3"],
+    ],
+)
+def test_coprime_out_of_range_exits_3(capsys, argv):
+    code, out, err = invoke(capsys, "coprime", *argv)
+    assert code == 3
+    assert out == ""
+    assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "k, d, formula, brute",
+    [(4, 257, False, False), (4, 512, None, False), (24, 65535, True, True)],
+)
+def test_coprime_answers_up_to_degree_cap(capsys, k, d, formula, brute):
+    code, out, _ = invoke(capsys, "coprime", "--k", str(k), "--d", str(d))
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["formula"], payload["bruteforce"]) == (formula, brute)
+
+
+def test_coprime_n_is_only_checked(capsys):
+    assert invoke(capsys, "coprime", "--k", "2", "--d", "5", "--n", "4") == invoke(
+        capsys, "coprime", "--k", "2", "--d", "5"
+    )
+
+
+def test_python_m_apnforge_runs_the_cli(capsys):
+    argv = ["coprime", "--k", "4", "--d", "5"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-B", "-m", "apnforge", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    code, out, _ = invoke(capsys, *argv)
+    assert proc.returncode == code == 0
+    assert proc.stdout == out
 
 
 def test_gold_verb(capsys):

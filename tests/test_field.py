@@ -8,6 +8,7 @@ from apnforge.field import (
     LOG_TABLE_MAX_N,
     FieldCtx,
     _pmod,
+    _x_pow_2e_mod,
     create_field,
     is_irreducible,
     log_tables,
@@ -21,6 +22,26 @@ def brute_irreducible(m: int) -> bool:
     if deg < 1:
         return False
     return all(_pmod(m, f) != 0 for f in range(2, 1 << deg))
+
+
+def carryless_product(a: int, b: int) -> int:
+    """a*b in GF(2)[x], one shifted copy of a per set bit of b."""
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        a <<= 1
+        b >>= 1
+    return r
+
+
+def test_x_pow_2e_mod_matches_repeated_products():
+    rng = random.Random(5)
+    for m in [0b11, 0b110, 0x11B] + [rng.getrandbits(bits) | 1 << bits for bits in (9, 64, 700)]:
+        r = _pmod(2, m)
+        for e in range(12):
+            assert _x_pow_2e_mod(e, m) == r, (m, e)
+            r = _pmod(carryless_product(r, r), m)
 
 
 @pytest.mark.parametrize("n", range(1, 9))

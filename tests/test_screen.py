@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from collections import Counter
 from functools import lru_cache, reduce
 from math import gcd
@@ -11,9 +12,10 @@ from hypothesis import strategies as st
 
 import apnforge.screen as screen_module
 from apnforge.cli import run
-from apnforge.field import FieldCtx, create_field
+from apnforge.field import MAX_DEGREE, FieldCtx, create_field
 from apnforge.phi import build_phi, build_phi_j, denominator_surface
 from apnforge.poly import (
+    DEGREE_CAP,
     ConstraintViolated,
     NotDivisible,
     TriPoly,
@@ -154,8 +156,19 @@ def test_bruteforce_power_of_two_degrees():
 
 
 def test_bruteforce_degree_cap():
-    with pytest.raises(ConstraintViolated):
-        coprime_bruteforce(2, 1 << 9)
+    # poly.DEGREE_CAP is the one degree cap; k ranges over the shipped fields
+    assert coprime_bruteforce(2, DEGREE_CAP) is False  # a power of two
+    for k, d in ((2, DEGREE_CAP + 1), (2, 2), (0, 5), (MAX_DEGREE + 1, 5)):
+        with pytest.raises(ConstraintViolated):
+            coprime_bruteforce(k, d)
+
+
+@pytest.mark.parametrize("d", [255, 65535])
+def test_bruteforce_is_fast_at_k24(d):
+    # the replaced scan over GF(2^24) took about 26 minutes for d = 255
+    start = time.perf_counter()
+    assert coprime_bruteforce(24, d) is True
+    assert time.perf_counter() - start < 5.0
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -300,6 +313,21 @@ def coprime_via_phi(k, d):
         m = d // (d & -d)
         assert not any(linear_form_divides(denominator_surface(ambient), a) for a in alphas)
     return all(not phi_vanishes(ambient, m, *field_powers(ambient)[a, a ^ 1]) for a in alphas)
+
+
+def coprime_via_alpha_scan(k, d):
+    """coprime_bruteforce as it was: test every Gold form x + a*y + (a+1)*z,
+    a in GF(2^k) minus GF(2), on N_d's submask coefficients."""
+    if d & (d - 1) == 0:
+        return False
+    fld = create_field(k)
+    return all(not _numerator_vanishes(fld, d, a, a ^ 1) for a in range(2, fld.order))
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_coprime_bruteforce_matches_alpha_scan(k):
+    for d in range(3, 257):
+        assert coprime_bruteforce(k, d) == coprime_via_alpha_scan(k, d), (k, d)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])

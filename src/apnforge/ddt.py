@@ -516,7 +516,7 @@ def _require(cond: bool, msg: str):
 def ekp_admissible_u(ctx: FieldCtx) -> list[int]:
     """The coefficient set w*GF(2^5)* union w^2*GF(2^5)*, w of order 3."""
     _require(ctx.n == 10, "the degree-36 binomial family lives in GF(2^10)")
-    w = next(a for a in range(2, ctx.order) if ctx.pow(a, 3) == 1 and a != 1)
+    w = ctx.subfield_elements(2)[2]  # GF(4) minus GF(2) holds the two elements of order 3
     w2 = ctx.sqr(w)
     sub = [v for v in ctx.subfield_elements(5) if v]
     us = {ctx.mul(w, v) for v in sub} | {ctx.mul(w2, v) for v in sub}

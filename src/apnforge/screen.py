@@ -24,7 +24,6 @@ from .field import (
     MAX_DEGREE,
     FieldCtx,
     _pgcd,
-    _pmod,
     _x_pow_2e_mod,
     create_field,
     subfield_embedding,
@@ -64,15 +63,12 @@ def gold_param(d: int) -> int | None:
 
 
 def kasami_param(d: int) -> int | None:
-    """k >= 2 with d = 2^(2k) - 2^k + 1, or None; k = 1 would give 3, already Gold."""
-    k = 2
-    while True:
-        val = (1 << (2 * k)) - (1 << k) + 1
-        if val == d:
-            return k
-        if val > d:
-            return None
-        k += 1
+    """k >= 2 with d = 2^(2k) - 2^k + 1, or None; k = 1 would give 3, already Gold.
+
+    d - 1 = 2^k * (2^k - 1) with 2^k - 1 odd: k is the 2-adic valuation of d - 1.
+    """
+    k = ((d - 1) & -(d - 1)).bit_length() - 1
+    return k if k >= 2 and (d - 1) >> k == (1 << k) - 1 else None
 
 
 def _form_divides(p: TriPoly, form: tuple[int, int, int]) -> bool:
@@ -152,9 +148,10 @@ def coprime_bruteforce(k: int, d: int) -> bool:
     So the dividing forms are the roots a != 0, 1 of
     G = gcd(t^(2^k) + t, Q_s for every submask s).  Every Q_s vanishes at 0
     and 1, and t^(2^k) + t is squarefree, so phi_d is coprime to the Gold
-    product exactly when G = t(t+1).  The walk starts at s = d, where
-    Q_d = t^d + (t+1)^d + 1 is nonzero unless d is a power of two, and stops
-    as soon as G = t(t+1).  No field is built and no element enumerated.
+    product exactly when G = t(t+1).  The walk folds g = gcd(Q_d, Q_s, ...)
+    from s = d on (Q_d != 0 unless d is a power of two), and from the second
+    submask on reduces t^(2^k) + t modulo g (deg g >= 2), never modulo Q_d of
+    degree near d; it stops as soon as G = t(t+1).  No field is built.
     """
     if not 1 <= k <= MAX_DEGREE:
         raise ConstraintViolated(f"k must be in 1..{MAX_DEGREE}, got {k}")
@@ -162,16 +159,12 @@ def coprime_bruteforce(k: int, d: int) -> bool:
         raise ConstraintViolated(f"d must be in 3..{DEGREE_CAP}, got {d}")
     if d & (d - 1) == 0:
         return False  # phi_d is zero and nothing is coprime to zero
-    g = None
+    g = 0
     for s in _submasks(d):
         q = (_plus_one_power(d - s) << s) ^ (_plus_one_power(s) << (d - s)) ^ (s == d) ^ (s == 0)
-        if g is None:
-            # deg Q_d = d minus its lowest bit >= 2, so t = 0b10 is already reduced
-            g = _pgcd(q, _x_pow_2e_mod(k, q) ^ 0b10)
-        else:
-            g = _pgcd(g, _pmod(q, g))
-        if g == 0b110:  # t(t+1): no root outside GF(2)
-            return True
+        folded, g = g != 0, _pgcd(g, q)
+        if folded and _pgcd(g, _x_pow_2e_mod(k, g) ^ 0b10) == 0b110:
+            return True  # t(t+1): no root outside GF(2)
     return False
 
 
@@ -208,7 +201,7 @@ def root_of_unity_audit(k: int, m: int, ambient: FieldCtx | None = None) -> Audi
 
     If x + a*y divides the shifted surface of phi_m then, writing
     f(x, y) = shifted(phi_m) * x * y * (x+y) = N_m(x+1, y+1, 1), every
-    homogeneous component F_r = C(m, r) * (x^r + y^r + (x+y)^r) must vanish
+    homogeneous component F_c = C(m, c) * (x^c + y^c + (x+y)^c) must vanish
     at (a, 1).  The two top components ask a^l + b^l = 1 and
     a^(l+1) + b^(l+1) = 1 with b = a + 1; the entrants are the a in GF(2^k)
     minus GF(2) that satisfy both.
@@ -216,13 +209,16 @@ def root_of_unity_audit(k: int, m: int, ambient: FieldCtx | None = None) -> Audi
     Since a + b = 1, the second equation minus (a + b) times the first is
     a*b*(a^(l-1) + b^(l-1)) = 0, and a*b != 0; with a^(l-1) = b^(l-1) the
     first becomes (a + b)*a^(l-1) = 1.  So the two hold together exactly
-    when a^(l-1) = b^(l-1) = 1, which is how the entrants are found.  That
-    settles the rest of the chain for every entrant: a and a+1 are (l-1)-th
-    roots of unity, and r = m - 2^i - 1 = 2^i*(l-1) is a multiple of l - 1
-    whose bits lie inside m's, so C(m, r) is odd and
-    F_r(a, 1) = a^r + b^r + 1 = 1 does not vanish.  No entrant can break the
+    when a^(l-1) = b^(l-1) = 1, that is a^g = b^g = 1 for
+    g = gcd(l - 1, 2^k - 1); such a lie in GF(2^r), r = ord_g(2) the least r
+    with g | 2^r - 1, and only GF(2^r) is walked.  That settles the rest of
+    the chain for every entrant: c = m - 2^i - 1 = 2^i*(l-1) is a multiple
+    of l - 1 whose bits lie inside m's, so C(m, c) is odd and
+    F_c(a, 1) = a^c + b^c + 1 = 1 does not vanish.  No entrant can break the
     chain, so violations is always empty.
     """
+    if not 1 <= k <= MAX_DEGREE:
+        raise ConstraintViolated(f"k must be in 1..{MAX_DEGREE}, got {k}")
     if m < 3 or m % 2 == 0:
         raise ConstraintViolated(f"m must be odd and at least 3, got {m}")
     if ambient is None:
@@ -233,10 +229,12 @@ def root_of_unity_audit(k: int, m: int, ambient: FieldCtx | None = None) -> Audi
     l = (m - 1) >> i
     if l == 1:
         return AuditReport(k, m, i, l, True, (), ())
+    g = gcd(l - 1, (1 << k) - 1)
+    r = next(r for r in range(1, k + 1) if ((1 << r) - 1) % g == 0)
     entrants = tuple(
         a
-        for a in ambient.subfield_elements(k)
-        if a > 1 and ambient.pow(a, l - 1) == 1 == ambient.pow(a ^ 1, l - 1)
+        for a in ambient.subfield_elements(r)
+        if a > 1 and ambient.pow(a, g) == 1 == ambient.pow(a ^ 1, g)
     )
     return AuditReport(k, m, i, l, False, entrants, ())
 
@@ -338,18 +336,15 @@ def exhaustive_cubic_search(phi: TriPoly) -> list[tuple[int, int, int, int]]:
 
 
 def theorem1_min_field(d: int) -> int:
-    """Smallest n with d - 1/2 < 0.45 * 2^(n/4), decided in exact integers.
+    """Smallest n >= 1 with d - 1/2 < 0.45 * 2^(n/4), decided in exact integers.
 
     With 0.45 = 9/20, scale by 20 and raise to the 4th power:
-    (20d - 10)^4 < 9^4 * 2^n = 6561 * 2^n.
+    (20d - 10)^4 < 9^4 * 2^n = 6561 * 2^n, that is 2^n > (20d - 10)^4 // 6561,
+    whose least solution n is that quotient's bit length.
     """
     if d < 9:
         raise ConstraintViolated(f"the point-count bound applies for d >= 9, got {d}")
-    lhs = (20 * d - 10) ** 4
-    n = 1
-    while 6561 * (1 << n) <= lhs:
-        n += 1
-    return n
+    return max(1, ((20 * d - 10) ** 4 // 6561).bit_length())
 
 
 def _linear_factor_witness(j: int, max_m: int = LINEAR_SCAN_MAX_M):
@@ -363,6 +358,8 @@ def _linear_factor_witness(j: int, max_m: int = LINEAR_SCAN_MAX_M):
     as N_j(x, y, 0) is not zero.  The s = j and s = 0 coefficients of
     _numerator_vanishes ask alpha^j + (alpha+1)^j = 1 and the same of beta;
     the remaining pairs are walked in lexicographic order, smallest m first.
+    Only Gold j = 2^l + 1 give a witness, x + 2*y + 3*z over GF(2^p) for p
+    the least prime factor of l, if p <= max_m (proof in tests/test_screen.py).
     """
     for m in range(1, max_m + 1):
         fld = create_field(m)
@@ -389,7 +386,8 @@ def heuristic_phi_certificate(j: int) -> tuple[bool, str]:
     homogeneous, so every factor of it is, and of the screened cubics D + P
     (cubic_divisor_check) only D itself is homogeneous.  D does not divide
     phi_j for odd j, since x + y does not (see _linear_factor_witness);
-    exhaustive_cubic_search checks this in the tests.
+    exhaustive_cubic_search checks this in the tests.  Only Gold j = 2^l + 1
+    can have a linear-factor witness (_linear_factor_witness).
     """
     if j < 3 or j & (j - 1) == 0:
         return False, f"phi_{j} is zero; not absolutely irreducible"

@@ -119,6 +119,43 @@ def test_python_m_apnforge_runs_the_cli(capsys):
     assert proc.stdout == out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--k", "0", "--n", "4"], ["--k", "-1", "--n", "4"], ["--k", "0"], ["--k", "25"]],
+)
+def test_audit_k_out_of_range_exits_3(capsys, argv):
+    code, out, err = invoke(capsys, "audit", *argv, "--m", "7")
+    assert code == 3
+    assert out == ""
+    assert err == f"error: k must be in 1..24, got {argv[1]}\n"
+
+
+def test_python_m_apnforge_answers_k24_at_once(capsys):
+    # the audit walks GF(2^ord_g(2)), here GF(2), not GF(2^24); the Gold-form
+    # gcd reduces t^(2^24) modulo the folded gcd, not modulo Q_d
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for argv, want in (
+        (
+            ["audit", "--k", "24", "--m", "7"],
+            '{"clean": true, "entrants": [], "gold_case": false, "i": 1, "k": 24, '
+            '"l": 3, "m": 7, "violations": []}\n',
+        ),
+        (["coprime", "--k", "24", "--d", "62225"], None),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-B", "-m", "apnforge", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=10,
+        )
+        assert proc.returncode == 0, proc.stderr
+        if want is None:
+            code, want, _ = invoke(capsys, *argv)
+            assert code == 0
+        assert proc.stdout == want
+
+
 def test_gold_verb(capsys):
     code, out, _ = invoke(capsys, "gold", "--k", "2")
     assert code == 0

@@ -841,6 +841,16 @@ def test_ekp_admissible_set():
     assert all(o % 3 == 0 for o in w_orders)
 
 
+def test_ekp_admissible_set_matches_order_3_search():
+    # ekp_admissible_u as it was: w the first element of order 3 in a scan
+    ctx = create_field(10)
+    w = next(a for a in range(2, ctx.order) if ctx.pow(a, 3) == 1)
+    assert w == 236 == ctx.subfield_elements(2)[2]
+    sub = [v for v in ctx.subfield_elements(5) if v]
+    want = {ctx.mul(w, v) for v in sub} | {ctx.mul(ctx.sqr(w), v) for v in sub}
+    assert ekp_admissible_u(ctx) == sorted(want)
+
+
 def test_ekp_instance_is_apn():
     f = family_poly(FamilySpec("ekp", 10))
     assert f.degree() == 36

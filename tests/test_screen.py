@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import apnforge.screen as screen_module
 from apnforge.cli import run
-from apnforge.field import MAX_DEGREE, FieldCtx, create_field
+from apnforge.field import MAX_DEGREE, FieldCtx, _pgcd, _pmod, _x_pow_2e_mod, create_field
 from apnforge.phi import build_phi, build_phi_j, denominator_surface
 from apnforge.poly import (
     DEGREE_CAP,
@@ -33,6 +33,7 @@ from apnforge.screen import (
     _boundary_shape,
     _linear_factor_witness,
     _numerator_vanishes,
+    _plus_one_power,
     coprime_bruteforce,
     coprime_gold_formula,
     cubic_divisor_check,
@@ -114,6 +115,23 @@ def test_kasami_param_recognizes(d, k):
 @pytest.mark.parametrize("d", [3, 5, 9, 11, 15, 17, 21])
 def test_kasami_param_rejects(d):
     assert kasami_param(d) is None
+
+
+def kasami_param_by_search(d):
+    """kasami_param as it was: walk k = 2, 3, ... until 2^(2k) - 2^k + 1 >= d."""
+    k = 2
+    while True:
+        val = (1 << (2 * k)) - (1 << k) + 1
+        if val == d:
+            return k
+        if val > d:
+            return None
+        k += 1
+
+
+def test_kasami_param_matches_search():
+    for d in range(-4, 1 << 17):
+        assert kasami_param(d) == kasami_param_by_search(d), d
 
 
 # --- coprimality, formula vs scan -------------------------------------------
@@ -337,6 +355,51 @@ def test_coprime_bruteforce_matches_phi_version(k):
         assert coprime_bruteforce(k, d) == coprime_via_phi(k, d), (k, d)
 
 
+def coprime_via_frobenius_first(k, d):
+    """coprime_bruteforce as it was: reduce t^(2^k) + t modulo the full Q_d
+    first, then fold in each later Q_s."""
+    if d & (d - 1) == 0:
+        return False
+    g = None
+    for s in _submasks(d):
+        q = (_plus_one_power(d - s) << s) ^ (_plus_one_power(s) << (d - s)) ^ (s == d) ^ (s == 0)
+        if g is None:
+            g = _pgcd(q, _x_pow_2e_mod(k, q) ^ 0b10)
+        else:
+            g = _pgcd(g, _pmod(q, g))
+        if g == 0b110:
+            return True
+    return False
+
+
+def test_coprime_bruteforce_matches_frobenius_first():
+    for k in range(1, MAX_DEGREE + 1):
+        for d in range(3, 300):
+            assert coprime_bruteforce(k, d) == coprime_via_frobenius_first(k, d), (k, d)
+
+
+def test_coprime_bruteforce_matches_frobenius_first_up_to_degree_cap():
+    rng = random.Random(17)
+    for _ in range(60):
+        k, d = rng.randint(1, MAX_DEGREE), rng.randint(3, DEGREE_CAP)
+        assert coprime_bruteforce(k, d) == coprime_via_frobenius_first(k, d), (k, d)
+
+
+def test_coprime_frobenius_step_sees_only_the_folded_gcd(monkeypatch):
+    # Q_d has degree d minus its lowest bit; the folded gcd is far smaller
+    moduli = []
+
+    def spy(e, m):
+        moduli.append(m)
+        return _x_pow_2e_mod(e, m)
+
+    monkeypatch.setattr(screen_module, "_x_pow_2e_mod", spy)
+    for d in (62225, 63717, 65236):
+        moduli.clear()
+        assert coprime_bruteforce(24, d) is True
+        assert moduli and max(m.bit_length() for m in moduli) < d // 2, d
+
+
 def linear_factor_witness_via_phi(j, max_m):
     """_linear_factor_witness as it was: slice filters, then full substitution
     (read from phi_rows).
@@ -381,6 +444,47 @@ def test_linear_factor_witness_matches_phi_version(top, max_m):
     for j in range(5, top + 1, 2):
         expected = linear_factor_witness_via_phi(j, max_m)
         assert _linear_factor_witness(j, max_m) == expected, j
+
+
+def test_linear_factor_witness_is_the_gold_rule():
+    """Only Gold j = 2^l + 1 give phi_j a linear factor, first over GF(2^p),
+    p the least prime factor of l.
+
+    Proof, for odd j >= 5 and a form x + a*y + b*z (the planes, x-free forms
+    and z are ruled out in _linear_factor_witness's docstring).  The form
+    divides N_j = D * phi_j exactly when every submask coefficient of
+    _numerator_vanishes is zero.  For a proper submask s (0 < s < j, and s = 1
+    is one) that reads a^s b^(j-s) = (a+1)^s (b+1)^(j-s).  If a or b is in
+    GF(2), s = 1 forces (a, b) = (0, 1) or (1, 0): only the planes x + z and
+    x + y.  Otherwise write rho = a/(a+1) and sigma = (b+1)/b; each proper
+    submask s asks rho^s = sigma^(j-s), that is tau^s = sigma^j for
+    tau = rho*sigma.
+
+    Binary weight >= 3: take two bits u, v of j; u, v and u + v are proper
+    submasks, so sigma^(2j) = tau^u tau^v = tau^(u+v) = sigma^j and
+    sigma^j = 1.  Then tau^u = 1 for a power of two u, so tau = 1, that is
+    rho*sigma = 1, which gives a = b and rho^j = 1, a^j = (a+1)^j.  The
+    s = j coefficient a^j + (a+1)^j + 1 is then 1, not 0: no form.
+
+    Weight 2, j = 2^l + 1: the s = j coefficient is a^(2^l) + a, so a is in
+    GF(2^l), and b likewise.  Then sigma^(2^l) = sigma, and s = 1 asks
+    rho = sigma, that is b = a + 1; s = 2^l asks the same.  So the forms
+    are x + a*y + (a+1)*z, a in GF(2^l) minus GF(2), and GF(2^m) holds one
+    exactly when gcd(m, l) > 1.  The least such m is p; over GF(2^p) every
+    element satisfies the end conditions, so the lexicographic walk meets
+    (a, b) = (2, 3) first.
+    """
+
+    def least_prime_factor(l):
+        return next(p for p in range(2, l + 1) if l % p == 0)
+
+    for j in range(5, 130, 2):
+        l = (j - 1).bit_length() - 1
+        gold = j == (1 << l) + 1
+        want = None
+        if gold and least_prime_factor(l) <= 8:
+            want = (least_prime_factor(l), "x + 2*y + 3*z")
+        assert _linear_factor_witness(j) == want, j
 
 
 def test_planes_x_free_forms_and_z_never_divide_odd_phi():
@@ -482,6 +586,45 @@ def test_audit_matches_surface_version(k):
             assert root_of_unity_audit(k, m, ambient) == want, (k, ambient.n, m)
 
 
+def audit_via_full_walk(k, m, ambient):
+    """root_of_unity_audit as it was: walk all of GF(2^k) with exponent l - 1."""
+    i = ((m - 1) & -(m - 1)).bit_length() - 1
+    l = (m - 1) >> i
+    if l == 1:
+        return AuditReport(k, m, i, l, True, (), ())
+    entrants = tuple(
+        a
+        for a in ambient.subfield_elements(k)
+        if a > 1 and ambient.pow(a, l - 1) == 1 == ambient.pow(a ^ 1, l - 1)
+    )
+    return AuditReport(k, m, i, l, False, entrants, ())
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_audit_matches_full_walk(k):
+    for ambient in (create_field(k), create_field(2 * k)):
+        for m in range(3, 400, 2):
+            want = audit_via_full_walk(k, m, ambient)
+            assert root_of_unity_audit(k, m, ambient) == want, (k, ambient.n, m)
+
+
+def test_audit_walks_only_the_root_of_unity_subfield(monkeypatch):
+    # (k, m, r) with g = gcd(l - 1, 2^k - 1) and r = ord_g(2): l - 1 is 2, 64,
+    # 20 and 6, so g is 1, 1, 5 and 3
+    walked = []
+    real = FieldCtx.subfield_elements
+
+    def spy(self, r):
+        walked.append(r)
+        return real(self, r)
+
+    monkeypatch.setattr(FieldCtx, "subfield_elements", spy)
+    for k, m, r in ((24, 7, 1), (12, 131, 1), (12, 43, 4), (24, 15, 2)):
+        walked.clear()
+        assert root_of_unity_audit(k, m).clean
+        assert walked == [r], (k, m)
+
+
 def test_shifted_surface_components_follow_binomial_identity():
     # shift_xy(phi_m) * x*y*(x+y) = N_m(x+1, y+1, 1): its degree-r component
     # is C(m, r) * (x^r + y^r + (x+y)^r), the identity root_of_unity_audit reads
@@ -580,6 +723,20 @@ def test_theorem1_min_field_boundary_sharp():
         n = theorem1_min_field(d)
         assert (20 * d - 10) ** 4 < 6561 * (1 << n)
         assert (20 * d - 10) ** 4 >= 6561 * (1 << (n - 1))
+
+
+def theorem1_min_field_by_search(d):
+    """theorem1_min_field as it was: count n up from 1."""
+    lhs = (20 * d - 10) ** 4
+    n = 1
+    while 6561 * (1 << n) <= lhs:
+        n += 1
+    return n
+
+
+def test_theorem1_min_field_matches_search():
+    for d in [*range(9, 200_000), 10**6, 10**9, 2**40 + 7]:
+        assert theorem1_min_field(d) == theorem1_min_field_by_search(d), d
 
 
 def test_theorem1_min_field_requires_degree_9():

@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import combinations, groupby, repeat
 from operator import lshift, mul, xor
 
-from .field import LOG_TABLE_MAX_N, FieldCtx, create_field
+from .field import LOG_TABLE_MAX_N, FieldCtx, create_field, log_tables
 from .poly import DEGREE_CAP, ConstraintViolated, UniPoly
 
 SPECTRUM_MAX_N = LOG_TABLE_MAX_N  # every spectrum reads f's value table
@@ -32,7 +32,9 @@ class DiffSpectrum:
     rows holds one entry per distinct row histogram: the histogram, an
     ascending tuple of (solution count, #b with that count) pairs, maps to
     the number of differences a != 0 whose row has it.  A power map has one
-    entry and a quadratic map at most n + 1, whatever q is.
+    entry and a quadratic map at most n + 1, whatever q is.  Row a of f has
+    the histogram of row 1 of f(a y), so a scan reads one row per class of
+    such a (_row_classes) and counts it once per member.
     """
 
     ctx: FieldCtx
@@ -157,6 +159,67 @@ def _monomial_row(ctx: FieldCtx, d: int) -> Counter:
 
 
 @lru_cache(maxsize=None)
+def _cyclotomic_canon(n: int) -> tuple[list[int], list[int]]:
+    """(rep, shift) over the residues x mod m = 2^n - 1, built on first use.
+
+    rep[x] is the least element of x's cyclotomic coset {x 2^k mod m} and
+    shift[x] the least k with x 2^k = rep[x] mod m.  Walking x upward, the
+    first x not yet seen is the least of its coset, and x 2^j in it needs
+    k = -j mod the coset's length.
+    """
+    m = (1 << n) - 1
+    rep, shift = [-1] * m, [0] * m
+    for x in range(m):
+        if rep[x] >= 0:
+            continue
+        coset, y = [x], 2 * x % m
+        while y != x:
+            coset.append(y)
+            y = 2 * y % m
+        for j, y in enumerate(coset):
+            rep[y], shift[y] = x, -j % len(coset)
+    return rep, shift
+
+
+def _row_classes(f: UniPoly) -> list[tuple[int, int]]:
+    """Differences a != 0 whose rows share a histogram, as (least a, #a) pairs, ascending.
+
+    Put x = a y: row a of f has the histogram of row 1 of
+    F_a(y) = sum c_e a^e y^e.  Scaling F_a, adding an additive term c x^(2^i)
+    or a constant (whose difference is a constant), and squaring every
+    coefficient (F^sigma(y^2) = F(y)^2) keep that histogram.  So with e_1 <
+    e_2 < ... the exponents of f that are neither 0 nor a power of two, row
+    a's histogram is fixed by the logarithms
+    L_i(a) = log c_i - log c_1 + (e_i - e_1) log a mod q - 1, i >= 2, up to
+    doubling every L_i at once.  The key of a is rep[L_2] with every other
+    L_i multiplied by 2^shift[L_2] (_cyclotomic_canon): equal keys give
+    vectors related by a power of 2, though related vectors may get
+    different keys when L_2 has a shorter coset.  One such term gives one
+    class of q - 1 rows.
+    """
+    ctx = f.ctx
+    m = ctx.order - 1
+    terms = sorted((e, c) for e, c in f.terms.items() if e & (e - 1))
+    if len(terms) < 2:
+        return [(1, m)]
+    _, log = log_tables(ctx)
+    rep, shift = _cyclotomic_canon(ctx.n)
+    logs = log[1:]  # log a for a = 1 .. q - 1
+    (e1, c1), *rest = terms
+    first, *others = [
+        [(lc + step * t) % m for t in logs]
+        for lc, step in ((log[c] - log[c1], (e - e1) % m) for e, c in rest)
+    ]
+    shifts = [shift[x] for x in first]
+    keys = list(zip(
+        [rep[x] for x in first],
+        *([(x << s) % m for x, s in zip(col, shifts)] for col in others),
+    ))
+    least = dict(zip(reversed(keys), range(m, 0, -1)))  # the last write is the least a
+    return sorted((least[key], size) for key, size in Counter(keys).items())
+
+
+@lru_cache(maxsize=None)
 def _bit_masks(n: int) -> tuple[int, ...]:
     """X_0 .. X_(n-1) as q-bit ints: bit a of X_j is bit j of a, 0 <= a < q.
 
@@ -264,14 +327,15 @@ def _spectrum_path(f: UniPoly, full: bool = False) -> str:
 
 
 def _spectrum_rows(args):
-    n, modulus, terms, a_list, full = args
+    n, modulus, terms, classes, full = args
     ctx = create_field(n, modulus)
     q = ctx.order
+    weight = dict(classes)
     rows: Counter = Counter()
     table: dict[int, dict[int, int]] = {}
-    for a, values in _pair_differences(UniPoly(ctx, terms).value_table(), a_list):
+    for a, values in _pair_differences(UniPoly(ctx, terms).value_table(), list(weight)):
         pairs = Counter(values)
-        rows[_pair_histogram(pairs, q)] += 1
+        rows[_pair_histogram(pairs, q)] += weight[a]
         if full:
             table[a] = {b: 2 * c for b, c in pairs.items()}
     return rows, table
@@ -288,14 +352,18 @@ def diff_spectrum(f: UniPoly, full: bool = False, jobs: int = 1) -> DiffSpectrum
         map x -> f(x+a) + f(x) + f(a) + f(0); one elimination over q-bit
         masks ranks every a at once (_quadratic_ranks), in O(n^3) big-int
         operations after the value table;
-      - scan (any other f, and every full table): every row a != 0 from its
-        q/2 pairs {x, x + a}, each counted once (_pair_differences), capped
-        at n <= SCAN_MAX_N, and a full table at n <= FULL_MAX_N; the other
-        paths go up to SPECTRUM_MAX_N.
+      - scan (any other f, and every full table): a row from its q/2 pairs
+        {x, x + a}, each counted once (_pair_differences), capped at
+        n <= SCAN_MAX_N, and a full table at n <= FULL_MAX_N; the other
+        paths go up to SPECTRUM_MAX_N.  Row a has the histogram of row 1 of
+        f(a y), which scaling, additive terms and squaring every coefficient
+        keep, so the scan reads one row per class of a (_row_classes) and
+        weighs it by the class size: about q/n rows for a binomial, all
+        q - 1 for a generic input.  A full table reads every row.
     Each path counts the rows of each distinct histogram, so the spectrum
     holds one entry per histogram, never one per difference a.
-    jobs > 1 splits the scan's nonzero differences across processes, at most
-    one per CPU and one per row; the workers' counts are added, so the merge
+    jobs > 1 splits the scanned rows across processes, at most one per CPU
+    and one per row read; the workers' counts are added, so the merge
     cannot depend on worker order.  The other paths run serially.
     """
     ctx = f.ctx
@@ -313,15 +381,15 @@ def diff_spectrum(f: UniPoly, full: bool = False, jobs: int = 1) -> DiffSpectrum
             if r in ranks
         })
         return DiffSpectrum(ctx=ctx, poly=f, rows=rows)
-    all_a = list(range(1, q))
-    workers = min(jobs, os.cpu_count() or 1, q - 1)
+    classes = [(a, 1) for a in range(1, q)] if full else _row_classes(f)
+    workers = min(jobs, os.cpu_count() or 1, len(classes))
     if workers <= 1 or q < 64:
-        rows, table = _spectrum_rows((ctx.n, ctx.modulus, f.terms, all_a, full))
+        rows, table = _spectrum_rows((ctx.n, ctx.modulus, f.terms, classes, full))
     else:
         import multiprocessing
 
         chunks = [
-            (ctx.n, ctx.modulus, f.terms, all_a[i::workers], full)
+            (ctx.n, ctx.modulus, f.terms, classes[i::workers], full)
             for i in range(workers)
         ]
         rows, table = Counter(), {}
@@ -342,6 +410,9 @@ def is_apn(f: UniPoly) -> bool:
     quadratic path has no early exit: it ranks every row at once
     (_quadratic_ranks), so a non-APN quadratic map costs as much as an APN
     one, where a row-by-row rank could stop at the first row of lower rank.
+    The scan reads rows in order rather than one per class (_row_classes):
+    its first row usually decides, and building the classes first would add
+    O(q) before that exit.
     """
     half = f.ctx.order // 2
     path = _spectrum_path(f)
@@ -404,10 +475,13 @@ def _square_sum(g: UniPoly) -> int:
     A row's square sum is 4 sum_b c_b^2, c_b the number of pairs {x, x + a}
     with value b.  The power path takes q - 1 times row 1's; the quadratic
     path 2^(2n - r) for each row of rank r, counting the rows of each rank
-    in the bytes _quadratic_ranks returns.  The scan tags g(x) with x << n, so
-    every value carries its row, and counts the values of many rows in one
-    Counter, summing and emptying it once it holds q values, so it stays
-    O(q) and no row builds a histogram of its own.
+    in the bytes _quadratic_ranks returns.  The scan reads one row per class
+    of a (_row_classes: row a of g has the histogram of row 1 of g(a y), so
+    the same square sum) and weighs it by the class size.  It tags g(x) with
+    x << n, so every value carries its row, and counts the values of
+    consecutive rows of equal weight in one Counter, summing and emptying it
+    once it holds q values or the weight changes, so it stays O(q) and no
+    row builds a histogram of its own.
     """
     ctx = g.ctx
     q = ctx.order
@@ -417,15 +491,17 @@ def _square_sum(g: UniPoly) -> int:
     if path == "quadratic":
         ranks = _quadratic_ranks(g)
         return sum(ranks.count(r) << (2 * ctx.n - r) for r in range(ctx.n + 1))
+    weight = dict(_row_classes(g))
     tagged = list(map(xor, g.value_table(), map(lshift, range(q), repeat(ctx.n))))
-    total = 0
+    total, batch = 0, 0  # batch: the weight of the rows in pairs
     pairs = Counter()
-    for _, values in _pair_differences(tagged, range(1, q)):
-        pairs.update(values)
-        if len(pairs) >= q:
-            total += _sum_of_squares(pairs)
+    for a, values in _pair_differences(tagged, list(weight)):
+        if weight[a] != batch or len(pairs) >= q:
+            total += batch * _sum_of_squares(pairs)
             pairs.clear()
-    return 4 * (total + _sum_of_squares(pairs))
+            batch = weight[a]
+        pairs.update(values)
+    return 4 * (total + batch * _sum_of_squares(pairs))
 
 
 def _affine_zero_count(g: UniPoly) -> int:
@@ -462,8 +538,9 @@ def projective_point_count(f: UniPoly) -> int:
     f that is >= 3 and not a power of two.  Its zeros form a cone through the
     origin, so the points at infinity number (affine(x^e) - 1) / (q - 1),
     none when e = 3 (phi_3 = 1).  The square sums follow diff_spectrum's
-    paths (_square_sum), so x^e costs one row, a scanned g counts each pair
-    {x, x + a} once and builds no per-row histogram, and the paths' caps are
+    paths (_square_sum), so x^e costs one row, a scanned g reads one row per
+    class of a, counts each pair {x, x + a} once and builds no per-row
+    histogram, and the paths' caps are
     the count's caps: an f over them is refused before any table is built.
     If f is additive (every exponent 0 or a power of two), phi_f = 0 and every
     point counts.

@@ -211,8 +211,10 @@ def root_of_unity_audit(k: int, m: int, ambient: FieldCtx | None = None) -> Audi
     first becomes (a + b)*a^(l-1) = 1.  So the two hold together exactly
     when a^(l-1) = b^(l-1) = 1, that is a^g = b^g = 1 for
     g = gcd(l - 1, 2^k - 1); such a lie in GF(2^r), r = ord_g(2) the least r
-    with g | 2^r - 1, and only GF(2^r) is walked.  That settles the rest of
-    the chain for every entrant: c = m - 2^i - 1 = 2^i*(l-1) is a multiple
+    with g | 2^r - 1, and only GF(2^r) is walked.  When g = 2^r - 1 every
+    element of GF(2^r) minus GF(2) is an entrant, with no power taken.
+    That settles the rest of the chain for every entrant:
+    c = m - 2^i - 1 = 2^i*(l-1) is a multiple
     of l - 1 whose bits lie inside m's, so C(m, c) is odd and
     F_c(a, 1) = a^c + b^c + 1 = 1 does not vanish.  No entrant can break the
     chain, so violations is always empty.
@@ -231,11 +233,13 @@ def root_of_unity_audit(k: int, m: int, ambient: FieldCtx | None = None) -> Audi
         return AuditReport(k, m, i, l, True, (), ())
     g = gcd(l - 1, (1 << k) - 1)
     r = next(r for r in range(1, k + 1) if ((1 << r) - 1) % g == 0)
-    entrants = tuple(
-        a
-        for a in ambient.subfield_elements(r)
-        if a > 1 and ambient.pow(a, g) == 1 == ambient.pow(a ^ 1, g)
-    )
+    sub = ambient.subfield_elements(r)
+    if g == (1 << r) - 1:  # every a in GF(2^r)* has a^g = 1
+        entrants = tuple(sub[2:])
+    else:
+        entrants = tuple(
+            a for a in sub if a > 1 and ambient.pow(a, g) == 1 == ambient.pow(a ^ 1, g)
+        )
     return AuditReport(k, m, i, l, False, entrants, ())
 
 

@@ -483,6 +483,104 @@ def test_a_missing_row_is_caught(monkeypatch):
         diff_spectrum(UniPoly(create_field(5), {9: 1, 7: 1}))
 
 
+def _class_cases(rng: random.Random, n: int) -> list[UniPoly]:
+    """Inputs whose row classes differ in kind: binomials with random
+    coefficients, three terms with GF(2) and GF(4) coefficients, exponents
+    >= q and = 0 mod q - 1, constant and additive terms, and a single term
+    that is not additive among additive ones."""
+    ctx = create_field(n)
+    q = ctx.order
+
+    def coeff():
+        return rng.randrange(1, q)
+
+    small = [c for c in ctx.subfield_elements(2 if n % 2 == 0 else 1) if c]
+    weight3 = [7, 11, 13, 14, 19, 21, 25]
+    cases = [{e: coeff(), d: coeff()} for e, d in ((7, 3), (19, 14), (13, 5), (25, 6))]
+    cases += [{e: rng.choice(small) for e in (3, 7, 21)}, {e: rng.choice(small) for e in (5, 11, 13)}]
+    cases.append({q + 6: coeff(), 3 * q + 4: coeff(), 2 * q - 1: coeff()})
+    cases.append({q - 1: coeff(), 2 * (q - 1): coeff(), rng.choice(weight3): coeff()})
+    cases.append({11: coeff(), 6: coeff(), 4: coeff(), 1: coeff(), 0: coeff()})
+    cases.append({rng.choice(weight3): coeff(), 8: coeff(), 2: coeff(), 1: coeff(), 0: coeff()})
+    return [UniPoly(ctx, terms) for terms in cases]
+
+
+def test_row_classes_match_the_all_rows_scan():
+    rng = random.Random(18)
+    scanned = 0
+    for n in range(1, 10):
+        for f in _class_cases(rng, n):
+            full = diff_spectrum(f, full=True)
+            assert diff_spectrum(f).rows == full.rows, f
+            assert ddt_module._square_sum(f) == sum(
+                c * c for row in full.table.values() for c in row.values()
+            ), f
+            scanned += _spectrum_path(f) == "scan"
+    assert scanned >= 80
+
+
+def test_row_classes_cover_every_difference_once():
+    rng = random.Random(19)
+    for n in range(1, 10):
+        for f in _class_cases(rng, n):
+            classes = ddt_module._row_classes(f)
+            assert sum(size for _, size in classes) == f.ctx.order - 1, f
+            assert [a for a, _ in classes] == sorted({a for a, _ in classes}), f
+
+
+def _cyclotomic_coset_count(n: int) -> int:
+    m = (1 << n) - 1
+    return len({min((x << k) % m for k in range(n)) for x in range(m)})
+
+
+def test_binomial_scan_reads_one_row_per_cyclotomic_coset(monkeypatch):
+    read = []
+    kernel = ddt_module._pair_differences
+
+    def counting(fv, a_list):
+        for a, values in kernel(fv, a_list):
+            read.append(a)
+            yield a, values
+
+    monkeypatch.setattr(ddt_module, "_pair_differences", counting)
+    rng = random.Random(20)
+    for n, e, d in ((10, 7, 3), (9, 19, 14), (8, 13, 6), (7, 9, 7)):
+        ctx = create_field(n)
+        q = ctx.order
+        assert math.gcd(e - d, q - 1) == 1
+        f = UniPoly(ctx, {e: rng.randrange(1, q), d: rng.randrange(1, q)})
+        read.clear()
+        rows = diff_spectrum(f).rows
+        assert len(read) == _cyclotomic_coset_count(n), (n, e, d)
+        read.clear()
+        assert diff_spectrum(f, full=True).rows == rows
+        assert sorted(read) == list(range(1, q))
+    assert _cyclotomic_coset_count(10) == 107
+
+
+def test_generic_input_still_reads_every_row():
+    # three terms with coefficients outside every proper subfield: almost
+    # no two differences share a class
+    f = UniPoly(create_field(9), {13: 100, 11: 9, 5: 7, 1: 3})
+    assert len(ddt_module._row_classes(f)) == f.ctx.order - 1
+
+
+def test_pooled_classes_match_serial(monkeypatch, pool_sizes):
+    monkeypatch.setattr(os, "cpu_count", lambda: 1000)
+    f = UniPoly(create_field(7), {9: 1, 7: 1})
+    pooled = diff_spectrum(f, jobs=1000)
+    assert pool_sizes == [19]  # one worker per row class
+    assert pooled.rows == diff_spectrum(f).rows == diff_spectrum(f, full=True).rows
+
+
+def test_scan_reaches_n14_binomial_in_seconds():
+    f = UniPoly(create_field(14), {7: 0x1234, 3: 1})
+    start = time.perf_counter()
+    spectrum = diff_spectrum(f)  # DiffSpectrum checks its invariants
+    assert time.perf_counter() - start < 8
+    assert sum(spectrum.rows.values()) == f.ctx.order - 1
+
+
 def _spectrum_of(n: int, rows: dict) -> DiffSpectrum:
     ctx = create_field(n)
     return DiffSpectrum(ctx=ctx, poly=UniPoly(ctx, {3: 1}), rows=Counter(rows))

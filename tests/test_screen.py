@@ -625,6 +625,22 @@ def test_audit_walks_only_the_root_of_unity_subfield(monkeypatch):
         assert walked == [r], (k, m)
 
 
+def test_audit_whole_subfield_takes_no_power(monkeypatch):
+    # m = 2^18 - 1: l = 2^17 - 1 and g = gcd(l - 1, 2^16 - 1) = 2^16 - 1, so
+    # every element of GF(2^16) minus GF(2) is an entrant
+    def no_pow(self, a, e):
+        raise AssertionError("an entrant of the whole subfield took a power")
+
+    ambient = create_field(16)
+    everything = tuple(range(2, 1 << 16))
+    monkeypatch.setattr(FieldCtx, "pow", no_pow)
+    start = time.perf_counter()
+    report = root_of_unity_audit(16, (1 << 18) - 1, ambient)
+    assert time.perf_counter() - start < 2
+    assert report.entrants == everything
+    assert len(report.entrants) == 65534 and report.clean
+
+
 def test_shifted_surface_components_follow_binomial_identity():
     # shift_xy(phi_m) * x*y*(x+y) = N_m(x+1, y+1, 1): its degree-r component
     # is C(m, r) * (x^r + y^r + (x+y)^r), the identity root_of_unity_audit reads

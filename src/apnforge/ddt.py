@@ -19,7 +19,7 @@ from operator import lshift, mul, xor
 from .field import LOG_TABLE_MAX_N, FieldCtx, create_field, log_tables
 from .poly import DEGREE_CAP, ConstraintViolated, UniPoly
 
-SPECTRUM_MAX_N = LOG_TABLE_MAX_N  # every spectrum reads f's value table
+SPECTRUM_MAX_N = LOG_TABLE_MAX_N  # every spectrum reads f through the log tables
 SCAN_MAX_N = 14  # a general input at n = 14 scans in about 24 s on a 2-core x86_64 host
 FULL_MAX_N = 11  # the (a, b) table of x^9+x^7 peaks at 132 MB for n = 11
 PROP1_MAX_N = 7
@@ -159,16 +159,17 @@ def _monomial_row(ctx: FieldCtx, d: int) -> Counter:
 
 
 @lru_cache(maxsize=None)
-def _cyclotomic_canon(n: int) -> tuple[list[int], list[int]]:
-    """(rep, shift) over the residues x mod m = 2^n - 1, built on first use.
+def _cyclotomic_canon(n: int) -> tuple[list[int], list[int], dict[int, int]]:
+    """(rep, shift, short) over the residues x mod m = 2^n - 1, built on first use.
 
     rep[x] is the least element of x's cyclotomic coset {x 2^k mod m} and
-    shift[x] the least k with x 2^k = rep[x] mod m.  Walking x upward, the
-    first x not yet seen is the least of its coset, and x 2^j in it needs
+    shift[x] the least k with x 2^k = rep[x] mod m; short maps the rep of
+    each coset shorter than n to its length.  Walking x upward, the first x
+    not yet seen is the least of its coset, and x 2^j in it needs
     k = -j mod the coset's length.
     """
     m = (1 << n) - 1
-    rep, shift = [-1] * m, [0] * m
+    rep, shift, short = [-1] * m, [0] * m, {}
     for x in range(m):
         if rep[x] >= 0:
             continue
@@ -176,9 +177,11 @@ def _cyclotomic_canon(n: int) -> tuple[list[int], list[int]]:
         while y != x:
             coset.append(y)
             y = 2 * y % m
+        if len(coset) < n:
+            short[x] = len(coset)
         for j, y in enumerate(coset):
             rep[y], shift[y] = x, -j % len(coset)
-    return rep, shift
+    return rep, shift, short
 
 
 def _row_classes(f: UniPoly) -> list[tuple[int, int]]:
@@ -192,10 +195,12 @@ def _row_classes(f: UniPoly) -> list[tuple[int, int]]:
     a's histogram is fixed by the logarithms
     L_i(a) = log c_i - log c_1 + (e_i - e_1) log a mod q - 1, i >= 2, up to
     doubling every L_i at once.  The key of a is rep[L_2] with every other
-    L_i multiplied by 2^shift[L_2] (_cyclotomic_canon): equal keys give
-    vectors related by a power of 2, though related vectors may get
-    different keys when L_2 has a shorter coset.  One such term gives one
-    class of q - 1 rows.
+    L_i multiplied by 2^shift[L_2] (_cyclotomic_canon).  When L_2's coset
+    has a length l below n, the shifts by multiples of l also fix rep[L_2],
+    so such an a takes the least of its n / l turns: then keys are equal
+    exactly when the vectors are related by a power of 2.  Only those a are
+    turned, one pass per coset length.  One such term gives one class of
+    q - 1 rows.
     """
     ctx = f.ctx
     m = ctx.order - 1
@@ -203,7 +208,7 @@ def _row_classes(f: UniPoly) -> list[tuple[int, int]]:
     if len(terms) < 2:
         return [(1, m)]
     _, log = log_tables(ctx)
-    rep, shift = _cyclotomic_canon(ctx.n)
+    rep, shift, short = _cyclotomic_canon(ctx.n)
     logs = log[1:]  # log a for a = 1 .. q - 1
     (e1, c1), *rest = terms
     first, *others = [
@@ -211,10 +216,21 @@ def _row_classes(f: UniPoly) -> list[tuple[int, int]]:
         for lc, step in ((log[c] - log[c1], (e - e1) % m) for e, c in rest)
     ]
     shifts = [shift[x] for x in first]
-    keys = list(zip(
-        [rep[x] for x in first],
-        *([(x << s) % m for x, s in zip(col, shifts)] for col in others),
-    ))
+    heads = [rep[x] for x in first]
+    tails = [[(x << s) % m for x, s in zip(col, shifts)] for col in others]
+    # a binomial's key is rep[L_2] alone; otherwise an a whose L_2 has a
+    # coset of length l < n takes the least of its tails turned by multiples of l
+    picked = [i for i, head in enumerate(heads) if head in short] if tails else []
+    for length in {short[heads[i]] for i in picked}:
+        rows = [i for i in picked if short[heads[i]] == length]  # index i is a = i + 1
+        turned = [
+            zip(*([(col[i] << k) % m for i in rows] for col in tails))
+            for k in range(0, ctx.n, length)
+        ]
+        for i, tail in zip(rows, map(min, *turned)):
+            for col, x in zip(tails, tail):
+                col[i] = x
+    keys = list(zip(heads, *tails))
     least = dict(zip(reversed(keys), range(m, 0, -1)))  # the last write is the least a
     return sorted((least[key], size) for key, size in Counter(keys).items())
 
@@ -255,16 +271,22 @@ def _quadratic_ranks(f: UniPoly) -> bytes:
       - alive: the a where the vector being inserted is not yet placed, the
         only a where it is read.
     rank(a) is the number of pivot masks that contain a, summed in byte
-    lanes.  O(n^3) big-int operations; the value table is read only at the
-    n(n+1)/2 + 1 points 0, e_i and e_i + e_j.
+    lanes.  O(n^3) big-int operations; f is evaluated only at the
+    n(n+1)/2 + 1 points 0, e_i and e_i + e_j, through the field's log tables
+    (UniPoly._values_at_logs), so no q-entry value table is built.
     """
     n, q = f.ctx.n, f.ctx.order
-    fv = f.value_table()
+    tables = log_tables(f.ctx)
+    _, log = tables
+    pairs = list(combinations(range(n), 2))
+    points = [1 << i for i in range(n)] + [(1 << i) | (1 << j) for i, j in pairs]
+    values = f._values_at_logs([log[x] for x in points], tables)
+    f0 = f.terms.get(0, 0)  # f(0), since 0^0 = 1
     masks = _bit_masks(n)
-    shift = [fv[1 << i] ^ fv[0] for i in range(n)]
+    shift = [v ^ f0 for v in values[:n]]
     form = [[0] * n for _ in range(n)]  # form[i][j] = B(e_i, e_j); B(x, x) = 0
-    for i, j in combinations(range(n), 2):
-        form[i][j] = form[j][i] = fv[(1 << i) | (1 << j)] ^ shift[i] ^ shift[j] ^ fv[0]
+    for (i, j), v in zip(pairs, values[n:]):
+        form[i][j] = form[j][i] = v ^ shift[i] ^ shift[j] ^ f0
     pivots = [0] * n
     basis: list[list[int]] = [[] for _ in range(n)]
     for row in form:
@@ -351,7 +373,8 @@ def diff_spectrum(f: UniPoly, full: bool = False, jobs: int = 1) -> DiffSpectrum
         solutions for each of 2^r values b, r the GF(2)-rank of the linear
         map x -> f(x+a) + f(x) + f(a) + f(0); one elimination over q-bit
         masks ranks every a at once (_quadratic_ranks), in O(n^3) big-int
-        operations after the value table;
+        operations on f's values at the n(n+1)/2 + 1 points 0, e_i and
+        e_i + e_j, with no value table;
       - scan (any other f, and every full table): a row from its q/2 pairs
         {x, x + a}, each counted once (_pair_differences), capped at
         n <= SCAN_MAX_N, and a full table at n <= FULL_MAX_N; the other
@@ -407,7 +430,8 @@ def is_apn(f: UniPoly) -> bool:
     map needs rank n - 1 (a kernel of dimension 1) on every row, and any
     other f scans row by row, up to SCAN_MAX_N, stopping at the first row
     whose q/2 pair values are not all distinct (a count above 2).  The
-    quadratic path has no early exit: it ranks every row at once
+    quadratic path builds no value table, only f at the n(n+1)/2 + 1 points
+    the elimination reads, and has no early exit: it ranks every row at once
     (_quadratic_ranks), so a non-APN quadratic map costs as much as an APN
     one, where a row-by-row rank could stop at the first row of lower rank.
     The scan reads rows in order rather than one per class (_row_classes):
@@ -475,13 +499,13 @@ def _square_sum(g: UniPoly) -> int:
     A row's square sum is 4 sum_b c_b^2, c_b the number of pairs {x, x + a}
     with value b.  The power path takes q - 1 times row 1's; the quadratic
     path 2^(2n - r) for each row of rank r, counting the rows of each rank
-    in the bytes _quadratic_ranks returns.  The scan reads one row per class
-    of a (_row_classes: row a of g has the histogram of row 1 of g(a y), so
-    the same square sum) and weighs it by the class size.  It tags g(x) with
-    x << n, so every value carries its row, and counts the values of
-    consecutive rows of equal weight in one Counter, summing and emptying it
-    once it holds q values or the weight changes, so it stays O(q) and no
-    row builds a histogram of its own.
+    in the bytes _quadratic_ranks returns, with no value table.  The scan
+    reads one row per class of a (_row_classes: row a of g has the histogram
+    of row 1 of g(a y), so the same square sum) and weighs it by the class
+    size.  It tags g(x) with x << n, so every value carries its row, and
+    counts the values of consecutive rows of equal weight in one Counter,
+    summing and emptying it once it holds q values or the weight changes, so
+    it stays O(q) and no row builds a histogram of its own.
     """
     ctx = g.ctx
     q = ctx.order
@@ -525,7 +549,7 @@ def _affine_zero_count(g: UniPoly) -> int:
 def projective_point_count(f: UniPoly) -> int:
     """Rational points of the projective closure of phi_f = 0.
 
-    Every count comes from value tables of univariate polynomials, with
+    Every count comes from values of univariate polynomials, with
     delta_g(a, b) = #{x : g(x+a) + g(x) = b} and q = 2^n:
       - off the planes (D != 0) phi_g = 0 exactly where N_g = 0, and the zeros
         of N_g number sum_{a,b} delta_g(a, b)^2; the planes hold 3q^2 - 2q of

@@ -100,21 +100,32 @@ class UniPoly(_SparsePoly):
     def value_table(self) -> list[int]:
         """[f(0), f(1), ..., f(q - 1)], the values at every element.
 
-        Each term c x^e is exp[(log c + e log x) mod (q - 1)] at x != 0, from
-        the field's log/antilog tables (n <= LOG_TABLE_MAX_N, or ValueError),
-        and 0^0 = 1 keeps the constant term at x = 0.
+        0^0 = 1 keeps the constant term at x = 0; the nonzero x go through
+        _values_at_logs (n <= LOG_TABLE_MAX_N, or ValueError).
         """
-        ctx = self.ctx
-        exp, log = log_tables(ctx)
-        m = ctx.order - 1
-        logs = log[1:]  # log x for x = 1 .. q - 1
+        exp, log = log_tables(self.ctx)
+        return [self.terms.get(0, 0)] + self._values_at_logs(log[1:], (exp, log))
+
+    def _values_at_logs(self, logs: list[int], tables: tuple[list[int], list[int]]) -> list[int]:
+        """f at the nonzero points x with log x in logs, in that order.
+
+        Each term c x^e is exp[(log c + e log x) mod (q - 1)], from the
+        field's (exp, log) tables (field.log_tables).  The first such term
+        fills the list unless a constant already has, and every later one is
+        XORed into it.
+        """
+        exp, log = tables
+        m = self.ctx.order - 1
         const = self.terms.get(0, 0)
-        values = [const] * m
+        values = [const] * len(logs) if const else None
         for e, c in self.terms.items():
             if e:
                 lc, step = log[c], e % m
-                values = [v ^ exp[(lc + step * lx) % m] for v, lx in zip(values, logs)]
-        return [const] + values
+                if values is None:
+                    values = [exp[(lc + step * lx) % m] for lx in logs]
+                else:
+                    values = [v ^ exp[(lc + step * lx) % m] for v, lx in zip(values, logs)]
+        return [0] * len(logs) if values is None else values
 
     def render(self) -> str:
         """Canonical text, descending degree; round-trips through the parser."""

@@ -247,11 +247,11 @@ def _oracle_rank(vectors: list[int]) -> int:
     return len(pivots)
 
 
-def _oracle_quadratic_rank(fv: list[int], n: int, a: int) -> int:
+def _oracle_quadratic_rank(value, n: int, a: int) -> int:
     """Rank of x -> f(x+a) + f(x) + f(a) + f(0) from its images of 1, 2, 4, ..., 2^(n-1),
-    one row a at a time, from the value table fv of f."""
-    shift = fv[a] ^ fv[0]
-    return _oracle_rank([fv[u ^ a] ^ fv[u] ^ shift for u in (1 << i for i in range(n))])
+    one row a at a time, with value(x) = f(x)."""
+    shift = value(a) ^ value(0)
+    return _oracle_rank([value(u ^ a) ^ value(u) ^ shift for u in (1 << i for i in range(n))])
 
 
 def _quadratic_cases(rng: random.Random, n: int) -> list[UniPoly]:
@@ -276,11 +276,15 @@ def _quadratic_cases(rng: random.Random, n: int) -> list[UniPoly]:
 
 
 def test_quadratic_ranks_match_per_row_oracle():
+    # the oracle's values come from bit-serial evaluate, not the log tables
+    # that the fast path reads
     rng = random.Random(14)
     for n in range(1, 11):
         for f in _quadratic_cases(rng, n):
-            fv = f.value_table()
-            expected = bytes(_oracle_quadratic_rank(fv, n, a) for a in range(1, f.ctx.order))
+            fv = [f.evaluate(x) for x in range(f.ctx.order)]
+            expected = bytes(
+                _oracle_quadratic_rank(fv.__getitem__, n, a) for a in range(1, f.ctx.order)
+            )
             assert ddt_module._quadratic_ranks(f) == expected, f
 
 
@@ -289,11 +293,36 @@ def test_quadratic_ranks_match_oracle_on_sampled_a(n):
     # above SCAN_MAX_N, where no scan can cross-check the quadratic path
     rng = random.Random(n)
     for f in _quadratic_cases(rng, n)[:3]:  # the constant, top-exponent and additive cases
-        fv = f.value_table()
         ranks = ddt_module._quadratic_ranks(f)
         assert len(ranks) == f.ctx.order - 1
         for a in [1, f.ctx.order - 1] + rng.sample(range(2, f.ctx.order - 1), 100):
-            assert ranks[a - 1] == _oracle_quadratic_rank(fv, n, a), (f, a)
+            assert ranks[a - 1] == _oracle_quadratic_rank(f.evaluate, n, a), (f, a)
+
+
+@pytest.mark.parametrize(
+    "n,terms,rows,apn,square_sum",
+    [
+        (10, {34: 0x1C9, 12: 0x2C9, 10: 0x3}, {2: 589, 4: 396, 8: 38}, False, 3139584),
+        (10, {2**11 + 2**3: 0x155, 2**10 + 1: 0x2F, 2: 0x3FF, 1: 7, 0: 0x2A}, {4: 1023}, False, 4190208),
+        (20, {3: 1, 12: 5}, {2: 2**20 - 1}, True, 2199021158400),
+    ],
+)
+def test_quadratic_paths_build_no_value_table(monkeypatch, n, terms, rows, apn, square_sum):
+    # the elimination reads f at the n(n+1)/2 + 1 points 0, e_i and e_i + e_j
+    def no_table(*args):
+        raise AssertionError("built a q-entry value table on the quadratic path")
+
+    monkeypatch.setattr(UniPoly, "value_table", no_table)
+    f = UniPoly(create_field(n), terms)
+    q = f.ctx.order
+    start = time.perf_counter()
+    spectrum = diff_spectrum(f)
+    assert is_apn(f) is apn
+    assert ddt_module._square_sum(f) == square_sum
+    # 1.4-1.8 s at n = 20 on a 2-core x86_64 host, log tables included;
+    # about 5 s when each call built the whole value table
+    assert time.perf_counter() - start < 4.0
+    assert spectrum.rows == Counter({((0, q - q // c), (c, q // c)): k for c, k in rows.items()})
 
 
 def test_quadratic_spectrum_at_n18_ranks_every_row_at_once():
@@ -556,6 +585,21 @@ def test_binomial_scan_reads_one_row_per_cyclotomic_coset(monkeypatch):
         assert diff_spectrum(f, full=True).rows == rows
         assert sorted(read) == list(range(1, q))
     assert _cyclotomic_coset_count(10) == 107
+
+
+@pytest.mark.parametrize(
+    "n,exponents,cosets",
+    [(10, (13, 11, 5), 107), (12, (13, 11, 5), 351), (10, (19, 13, 11, 5), 107)],
+)
+def test_row_classes_turn_short_cosets_to_one_key(n, exponents, cosets):
+    # L_2 = 6 log a lies in a coset shorter than n for some a; the key takes
+    # the least of the turns that fix rep[L_2], so every Frobenius class of
+    # (L_2, L_3, ...) is read once (114, 360 and 114 classes without the turn)
+    f = UniPoly(create_field(n), dict.fromkeys(exponents, 1))
+    assert len(ddt_module._row_classes(f)) == cosets == _cyclotomic_coset_count(n)
+    every_row = [(a, 1) for a in range(1, f.ctx.order)]
+    rows, _ = ddt_module._spectrum_rows((n, f.ctx.modulus, f.terms, every_row, False))
+    assert diff_spectrum(f).rows == rows
 
 
 def test_generic_input_still_reads_every_row():

@@ -148,28 +148,20 @@ def _pair_histogram(pairs: Counter, q: int) -> tuple[tuple[int, int], ...]:
     return ((0, q - len(pairs)), *hist)
 
 
-def _monomial_row(ctx: FieldCtx, d: int) -> Counter:
-    """Row a = 1 of the difference table of x^d, as b -> #pairs {x, x + 1}.
-
-    Row a of c x^d + c0 is this row with b -> c a^d b (substitute x = a y),
-    so its histogram is the histogram of every row a != 0.
-    """
-    fv = UniPoly(ctx, {d: 1}).value_table()
-    return Counter(map(xor, fv[1::2], fv[0::2]))
-
-
 @lru_cache(maxsize=None)
-def _cyclotomic_canon(n: int) -> tuple[list[int], list[int], dict[int, int]]:
-    """(rep, shift, short) over the residues x mod m = 2^n - 1, built on first use.
+def _cyclotomic_canon(n: int) -> tuple[list[int], list[int], dict[int, int], list[int]]:
+    """(rep, shift, short, leaders) over the residues x mod m = 2^n - 1, built on first use.
 
     rep[x] is the least element of x's cyclotomic coset {x 2^k mod m} and
     shift[x] the least k with x 2^k = rep[x] mod m; short maps the rep of
-    each coset shorter than n to its length.  Walking x upward, the first x
-    not yet seen is the least of its coset, and x 2^j in it needs
-    k = -j mod the coset's length.
+    each coset shorter than n to its length, and leaders lists the rep of
+    every other coset but {0}, ascending, so each coset's least element and
+    size come from the one walk.  Walking x upward, the first x not yet seen
+    is the least of its coset, and x 2^j in it needs k = -j mod the coset's
+    length.
     """
     m = (1 << n) - 1
-    rep, shift, short = [-1] * m, [0] * m, {}
+    rep, shift, short, leaders = [-1] * m, [0] * m, {}, []
     for x in range(m):
         if rep[x] >= 0:
             continue
@@ -179,9 +171,47 @@ def _cyclotomic_canon(n: int) -> tuple[list[int], list[int], dict[int, int]]:
             y = 2 * y % m
         if len(coset) < n:
             short[x] = len(coset)
+        elif x:  # {0} has length n only when n = 1
+            leaders.append(x)
         for j, y in enumerate(coset):
             rep[y], shift[y] = x, -j % len(coset)
-    return rep, shift, short
+    return rep, shift, short, leaders
+
+
+def _power_row(ctx: FieldCtx, d: int) -> tuple[tuple[int, int], ...]:
+    """Histogram of row 1 of x^d, d >= 1, from one x per Frobenius orbit.
+
+    Row a of c x^d + c0 is row 1 with b -> c a^d b (substitute x = a y), so
+    this is the histogram of every row a != 0, in _pair_histogram's form.
+    F(x) = x^d + (x + 1)^d has F(x^2) = F(x)^2, so F maps the orbit of x
+    under squaring, of size s, onto the orbit of F(x), of size t dividing s,
+    and hits each of its t values s / t times: delta(1, b) is the sum of s
+    over the orbits mapped onto b's orbit, divided by t.  The orbits of
+    x != 0 are the cyclotomic cosets of log x (_cyclotomic_canon), so one x
+    per coset is read, O(q / n) table lookups.  A value orbit is keyed by
+    rep[log b], and b = 0 by -1: F(x) = 0 when ((x + 1) / x)^d = 1, which
+    has solutions once gcd(d, q - 1) > 1.
+    """
+    exp, log = log_tables(ctx)
+    rep, _, short, leaders = _cyclotomic_canon(ctx.n)
+    n, m = ctx.n, ctx.order - 1
+
+    def keys(rs: list[int]) -> list[int]:
+        # the orbit key of F(x) for x = exp[r], r != 0
+        bs = [exp[r * d % m] ^ exp[log[exp[r] ^ 1] * d % m] for r in rs]
+        return [rep[log[b]] if b else -1 for b in bs]
+
+    # value orbit -> #x mapped onto it; each coset in leaders has n elements
+    hits = Counter({key: n * k for key, k in Counter(keys(leaders)).items()})
+    others = [r for r in short if r]  # the short cosets but {0}
+    for key, s in zip(keys(others), map(short.get, others)):
+        hits[key] += s
+    hits[0] += 2  # x = 0 and x = 1 (log 0, where x + 1 has no log): b = 1
+    per_count: Counter = Counter()
+    for key, total in hits.items():
+        t = short.get(key, n) if key >= 0 else 1
+        per_count[total // t] += t
+    return ((0, ctx.order - sum(per_count.values())), *sorted(per_count.items()))
 
 
 def _row_classes(f: UniPoly) -> list[tuple[int, int]]:
@@ -208,7 +238,7 @@ def _row_classes(f: UniPoly) -> list[tuple[int, int]]:
     if len(terms) < 2:
         return [(1, m)]
     _, log = log_tables(ctx)
-    rep, shift, short = _cyclotomic_canon(ctx.n)
+    rep, shift, short, _ = _cyclotomic_canon(ctx.n)
     logs = log[1:]  # log a for a = 1 .. q - 1
     (e1, c1), *rest = terms
     first, *others = [
@@ -368,7 +398,9 @@ def diff_spectrum(f: UniPoly, full: bool = False, jobs: int = 1) -> DiffSpectrum
 
     The rows come from one of three paths:
       - power (one term of exponent >= 1, plus any constant): row a is row 1
-        with b relabelled, so row 1 alone gives every histogram, in O(q);
+        with b relabelled, so row 1 gives every histogram, and row 1 comes
+        from one x per Frobenius orbit (_power_row), in O(q / n) table
+        lookups with no value table;
       - quadratic (every exponent of binary weight <= 2): row a has 2^(n-r)
         solutions for each of 2^r values b, r the GF(2)-rank of the linear
         map x -> f(x+a) + f(x) + f(a) + f(0); one elimination over q-bit
@@ -393,7 +425,7 @@ def diff_spectrum(f: UniPoly, full: bool = False, jobs: int = 1) -> DiffSpectrum
     q = ctx.order
     path = _spectrum_path(f, full)
     if path == "power":
-        hist = _pair_histogram(_monomial_row(ctx, max(f.terms)), q)
+        hist = _power_row(ctx, max(f.terms))
         return DiffSpectrum(ctx=ctx, poly=f, rows=Counter({hist: q - 1}))
     if path == "quadratic":
         # rank r: 2^(n-r) solutions for each of the 2^r values of the coset
@@ -426,12 +458,14 @@ def diff_spectrum(f: UniPoly, full: bool = False, jobs: int = 1) -> DiffSpectrum
 def is_apn(f: UniPoly) -> bool:
     """Early-exit APN test; agrees with diff_spectrum(f).uniformity == 2.
 
-    Takes diff_spectrum's path: a power map checks row 1 only, a quadratic
+    Takes diff_spectrum's path: a power map checks that row 1's largest
+    count is 2, reading one x per Frobenius orbit (_power_row), a quadratic
     map needs rank n - 1 (a kernel of dimension 1) on every row, and any
     other f scans row by row, up to SCAN_MAX_N, stopping at the first row
     whose q/2 pair values are not all distinct (a count above 2).  The
-    quadratic path builds no value table, only f at the n(n+1)/2 + 1 points
-    the elimination reads, and has no early exit: it ranks every row at once
+    power and quadratic paths build no value table.  The quadratic one reads
+    f only at the n(n+1)/2 + 1 points the elimination needs, and has no
+    early exit: it ranks every row at once
     (_quadratic_ranks), so a non-APN quadratic map costs as much as an APN
     one, where a row-by-row rank could stop at the first row of lower rank.
     The scan reads rows in order rather than one per class (_row_classes):
@@ -441,7 +475,7 @@ def is_apn(f: UniPoly) -> bool:
     half = f.ctx.order // 2
     path = _spectrum_path(f)
     if path == "power":
-        return len(_monomial_row(f.ctx, max(f.terms))) == half
+        return _power_row(f.ctx, max(f.terms))[-1][0] == 2
     if path == "quadratic":
         return _quadratic_ranks(f).count(f.ctx.n - 1) == f.ctx.order - 1
     rows = _pair_differences(f.value_table(), range(1, f.ctx.order))
@@ -497,7 +531,8 @@ def _square_sum(g: UniPoly) -> int:
     """sum of delta_g(a, b)^2 over a != 0 and every b, along diff_spectrum's path.
 
     A row's square sum is 4 sum_b c_b^2, c_b the number of pairs {x, x + a}
-    with value b.  The power path takes q - 1 times row 1's; the quadratic
+    with value b.  The power path takes q - 1 times row 1's, sum delta^2 #b
+    over its histogram (_power_row, no value table); the quadratic
     path 2^(2n - r) for each row of rank r, counting the rows of each rank
     in the bytes _quadratic_ranks returns, with no value table.  The scan
     reads one row per class of a (_row_classes: row a of g has the histogram
@@ -511,7 +546,7 @@ def _square_sum(g: UniPoly) -> int:
     q = ctx.order
     path = _spectrum_path(g)
     if path == "power":
-        return (q - 1) * 4 * _sum_of_squares(_monomial_row(ctx, max(g.terms)))
+        return (q - 1) * sum(c * c * k for c, k in _power_row(ctx, max(g.terms)))
     if path == "quadratic":
         ranks = _quadratic_ranks(g)
         return sum(ranks.count(r) << (2 * ctx.n - r) for r in range(ctx.n + 1))
@@ -533,17 +568,56 @@ def _affine_zero_count(g: UniPoly) -> int:
 
     The rows a != 0 of g's difference table give sum delta_g(a, b)^2
     (_square_sum), the a = 0 row adds q^2, and every point of the three
-    planes is a zero of N_g.
+    planes is a zero of N_g.  The plane and line counts of
+    projective_point_count have closed forms on the power and quadratic
+    paths (_plane_and_line); only the scan path builds value tables for them.
+    """
+    q = g.ctx.order
+    off_planes = _square_sum(g) + q * q - (3 * q * q - 2 * q)
+    fibres, line = _plane_and_line(g)
+    plane = fibres + line
+    return off_planes + 3 * plane - 2 * line
+
+
+def _plane_and_line(g: UniPoly) -> tuple[int, int]:
+    """(sum_v m_v (m_v - 1), m_v = #{t : g'(t) = v}; zeros of the line polynomial).
+
+    g' = sum_(j odd) c_j t^(j-1) is the formal derivative, the line
+    polynomial sum_(j = 3 mod 4) c_j t^(j-3).  Along diff_spectrum's path:
+      - power, c x^e + c0 with e >= 3 (projective_point_count's e): for
+        odd e, g' = c t^(e-1) is 0 only at t = 0 and gcd(e - 1, q - 1)-to-1
+        on the rest; for even e, g' = 0.  The line polynomial is c t^(e-3)
+        when e = 3 mod 4, with no zero when e = 3 and only t = 0 when
+        e > 3, and 0 otherwise;
+      - quadratic: g' = c_1 + sum c_(2^i+1) t^(2^i) is a constant plus a
+        GF(2)-linear map, so every value it takes has 2^k preimages, k = n
+        minus the rank of the map's images of the n basis points; 3 is the
+        only weight-2 exponent = 3 mod 4, so the line polynomial is c_3;
+      - scan: g' and the line polynomial from their value tables.
     """
     ctx, terms = g.ctx, g.terms
     q = ctx.order
-    off_planes = _square_sum(g) + q * q - (3 * q * q - 2 * q)
+    path = _spectrum_path(g)
+    if path == "power":
+        e = max(terms)
+        fibres = (q - 1) * (math.gcd(e - 1, q - 1) - 1) if e % 2 else q * (q - 1)
+        return fibres, q if e % 4 != 3 else int(e > 3)
+    if path == "quadratic":
+        tables = log_tables(ctx)
+        _, log = tables
+        linear = UniPoly(ctx, {j - 1: c for j, c in terms.items() if j % 2 and j > 1})
+        images = linear._values_at_logs([log[1 << i] for i in range(ctx.n)], tables)
+        pivots: dict[int, int] = {}  # XOR basis of the images, keyed by leading bit
+        for v in images:
+            while v and v.bit_length() in pivots:
+                v ^= pivots[v.bit_length()]
+            if v:
+                pivots[v.bit_length()] = v
+        return q * ((1 << (ctx.n - len(pivots))) - 1), 0 if 3 in terms else q
     line = UniPoly(ctx, {j - 3: c for j, c in terms.items() if j % 4 == 3}).value_table().count(0)
-    # g', the formal derivative: in characteristic 2 only odd exponents survive
     derivative = UniPoly(ctx, {j - 1: c for j, c in terms.items() if j % 2})
     fibres = Counter(derivative.value_table()).values()
-    plane = sum(m * (m - 1) for m in fibres) + line
-    return off_planes + 3 * plane - 2 * line
+    return sum(m * (m - 1) for m in fibres), line
 
 
 def projective_point_count(f: UniPoly) -> int:
@@ -562,10 +636,13 @@ def projective_point_count(f: UniPoly) -> int:
     f that is >= 3 and not a power of two.  Its zeros form a cone through the
     origin, so the points at infinity number (affine(x^e) - 1) / (q - 1),
     none when e = 3 (phi_3 = 1).  The square sums follow diff_spectrum's
-    paths (_square_sum), so x^e costs one row, a scanned g reads one row per
-    class of a, counts each pair {x, x + a} once and builds no per-row
-    histogram, and the paths' caps are
-    the count's caps: an f over them is refused before any table is built.
+    paths (_square_sum), so x^e reads one x per Frobenius orbit, a scanned g
+    reads one row per class of a, counts each pair {x, x + a} once and
+    builds no per-row histogram.  The plane and line counts have closed
+    forms on the power and quadratic paths (_plane_and_line), so those
+    build no value table; only a scanned g builds the tables of g' and the
+    line polynomial.  The paths' caps are the count's caps: an f over them
+    is refused before any table is built.
     If f is additive (every exponent 0 or a power of two), phi_f = 0 and every
     point counts.
     """

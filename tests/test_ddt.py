@@ -1,6 +1,7 @@
 import itertools
 import math
 import multiprocessing
+import operator
 import os
 import random
 import time
@@ -27,7 +28,7 @@ from apnforge.ddt import (
     projective_point_count,
     prop1_check,
 )
-from apnforge.field import FieldCtx, create_field
+from apnforge.field import FieldCtx, create_field, prime_factors
 from apnforge.phi import build_phi
 from apnforge.poly import DEGREE_CAP, ConstraintViolated, TriPoly, UniPoly
 
@@ -708,6 +709,138 @@ def test_power_histogram_matches_per_row_oracle():
         assert _spectrum_path(f) == "power"
         assert spectrum.histogram() == sorted(expected.items()), (n, d)
         assert spectrum.uniformity == max(expected), (n, d)
+
+
+def _value_table_pairs(f: UniPoly) -> Counter:
+    """Row 1 of f as b -> #pairs {x, x + 1}, from f's whole value table: the
+    pairs are {2i, 2i + 1}, so the row counts fv[1::2] ^ fv[0::2]."""
+    fv = f.value_table()
+    return Counter(map(operator.xor, fv[1::2], fv[0::2]))
+
+
+def _value_table_row(f: UniPoly) -> tuple[tuple[int, int], ...]:
+    pairs = _value_table_pairs(f)
+    return _row_histogram({b: 2 * c for b, c in pairs.items()}, f.ctx.order)
+
+
+def test_power_row_matches_value_table_row():
+    # one x per Frobenius orbit against every pair {x, x + 1}; d beyond q,
+    # d = 0 mod q - 1 and d sharing a factor with q - 1 (where
+    # F(x) = x^d + (x + 1)^d can vanish) are all drawn
+    rng = random.Random(20)
+    seen: Counter = Counter()
+    for n in range(1, 17):
+        ctx = create_field(n)
+        q, m = ctx.order, ctx.order - 1
+        ds = {1, 3, m, 2 * m, q, q + 2, 4 * q + 7}
+        ds |= {rng.randrange(1, 8 * q) for _ in range(12 if n < 12 else 3)}
+        ds |= {p * rng.randrange(1, 40) for p in prime_factors(m)}
+        for d in sorted(e for e in ds if e <= DEGREE_CAP):
+            monic = UniPoly(ctx, {d: 1})
+            assert ddt_module._power_row(ctx, d) == _value_table_row(monic), (n, d)
+            f = UniPoly(ctx, {d: rng.randrange(1, q), 0: rng.randrange(q)})
+            assert diff_spectrum(f).rows == Counter({_value_table_row(f): m}), f
+            assert is_apn(f) == (max(_value_table_pairs(f).values()) == 1), f
+            zeros = _value_table_pairs(monic)[0]
+            assert not zeros or math.gcd(d, m) > 1, (n, d)
+            seen["beyond q"] += d >= q
+            seen["multiple of q - 1"] += d % m == 0 and n > 1
+            seen["F vanishes off 0, 1"] += d % m != 0 and zeros > 0
+    assert min(seen.values()) >= 20, seen
+
+
+def _oracle_plane_and_line(g: UniPoly) -> tuple[int, int]:
+    """projective_point_count's plane and line counts from g' and the line
+    polynomial evaluated at every t."""
+    ctx, field = g.ctx, range(g.ctx.order)
+    derivative = UniPoly(ctx, {j - 1: c for j, c in g.terms.items() if j % 2})
+    line = UniPoly(ctx, {j - 3: c for j, c in g.terms.items() if j % 4 == 3})
+    fibres = Counter(derivative.evaluate(t) for t in field).values()
+    return sum(k * (k - 1) for k in fibres), sum(line.evaluate(t) == 0 for t in field)
+
+
+def test_closed_form_point_count_matches_oracle(monkeypatch):
+    # the closed plane and line counts against g' and the line polynomial at
+    # every t, with the square sums from the per-element oracle
+    rng = random.Random(21)
+    seen: Counter = Counter()
+    for n in range(5, 10):
+        ctx = create_field(n)
+        q = ctx.order
+        exponents = (3, 6, 7, 9, 11, 13, 19, q + 2, 3 * (q - 1) + 1)
+        cases = [UniPoly(ctx, {e: rng.randrange(1, q), 0: rng.randrange(q)}) for e in exponents]
+        cases.append(UniPoly(ctx, {5: 1, 3: 1}))  # g' = (t + t^2)^2: a kernel of dimension 1
+        weight2 = [e for e in range(1, 4 * q) if e.bit_count() <= 2]
+        for _ in range(4 if n < 9 else 2):
+            terms = {e: rng.randrange(1, q) for e in rng.sample(weight2, rng.randint(2, 4))}
+            terms[3 if rng.random() < 0.5 else 0] = rng.randrange(1, q)
+            cases.append(UniPoly(ctx, terms))
+        for g in cases:
+            path = _spectrum_path(g)
+            fibres, line = _oracle_plane_and_line(g)
+            assert ddt_module._plane_and_line(g) == (fibres, line), g
+            e = max(g.terms)
+            seen["power, gcd(e - 1, q - 1) > 1"] += (
+                path == "power" and e % 2 == 1 and math.gcd(e - 1, q - 1) > 1
+            )
+            seen["quadratic, k >= 1"] += path == "quadratic" and fibres > 0
+            count = projective_point_count(g)
+            with monkeypatch.context() as patch:
+                patch.setattr(ddt_module, "_square_sum", _oracle_square_sum)
+                patch.setattr(ddt_module, "_plane_and_line", _oracle_plane_and_line)
+                assert projective_point_count(g) == count, g
+    assert min(seen.values()) >= 5, seen
+
+
+@pytest.mark.parametrize(
+    "terms,histogram,apn,square_sum,points",
+    [
+        ({21: 1}, [(0, 585156), (2, 401016), (4, 61380)], False, 2586144, 492545),
+        ({57: 0x2C9, 0: 5}, [(0, 523776), (2, 523776)], True, 2095104, 1025),
+        ({33: 7, 0: 1}, [(0, 1014816), (32, 32736)], False, 33521664, 31458305),
+        ({3 * 1023: 1}, [(0, 1045506), (2, 1023), (1022, 1023)], False, 1068511224, 1067459585),
+        ({6: 0x155}, [(0, 523776), (2, 523776)], True, 2095104, 3146753),
+        ({34: 0x1C9, 12: 0x2C9, 10: 0x3}, [(0, 639744), (2, 301568), (4, 101376), (8, 4864)],
+         False, 3139584, 4193281),
+        ({5: 1, 3: 1}, [(0, 654336), (2, 262656), (4, 130560)], False, 3139584, 1049601),
+        ({2**11 + 2**3: 0x155, 2**10 + 1: 0x2F, 2: 0x3FF, 1: 7, 0: 0x2A},
+         [(0, 785664), (4, 261888)], False, 4190208, 2101249),
+    ],
+)
+def test_power_and_quadratic_paths_build_no_value_table(
+    monkeypatch, terms, histogram, apn, square_sum, points
+):
+    # every figure was recorded from the whole-field value tables at n = 10
+    def no_table(*args):
+        raise AssertionError("built a q-entry value table on a power or quadratic map")
+
+    monkeypatch.setattr(UniPoly, "value_table", no_table)
+    f = UniPoly(create_field(10), terms)
+    assert _spectrum_path(f) in ("power", "quadratic")
+    assert diff_spectrum(f).histogram() == histogram
+    assert is_apn(f) is apn
+    assert ddt_module._square_sum(f) == square_sum
+    assert projective_point_count(f) == points
+
+
+def test_power_map_at_n20_builds_no_value_table(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("built a q-entry value table on a power map")
+
+    monkeypatch.setattr(UniPoly, "value_table", no_table)
+    f = UniPoly(create_field(20), {57: 1})  # Kasami-Welch, gcd(3, 20) = 1
+    q = f.ctx.order
+    start = time.perf_counter()
+    spectrum = diff_spectrum(f)
+    apn = is_apn(f)
+    square_sum = ddt_module._square_sum(f)
+    points = projective_point_count(f)
+    # about 1.5 s on a 2-core x86_64 host, log tables and coset table included
+    assert time.perf_counter() - start < 4.0
+    assert spectrum.histogram() == [(0, (q - 1) * q // 2), (2, (q - 1) * q // 2)]
+    assert apn is True
+    assert square_sum == 2199021158400 == (q - 1) * 2 * q
+    assert points == q + 1
 
 
 def test_scan_cap_is_below_the_fast_path_cap():

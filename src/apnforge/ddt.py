@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import combinations, groupby, repeat
 from operator import lshift, mul, xor
 
-from .field import LOG_TABLE_MAX_N, FieldCtx, create_field, log_tables
+from .field import LOG_TABLE_MAX_N, FieldCtx, _gf2_kernel, create_field, log_tables
 from .poly import DEGREE_CAP, ConstraintViolated, UniPoly
 
 SPECTRUM_MAX_N = LOG_TABLE_MAX_N  # every spectrum reads f through the log tables
@@ -178,6 +178,15 @@ def _cyclotomic_canon(n: int) -> tuple[list[int], list[int], dict[int, int], lis
     return rep, shift, short, leaders
 
 
+def _phi_exponents(f: UniPoly) -> list[int]:
+    """f's exponents that reach phi_f, ascending: those neither 0 nor a power of two.
+
+    A constant or c x^(2^i) adds nothing to N_f and c a^(2^i) to row a, which
+    relabels b: row histograms and the zeros of phi_f ignore it (EA-invariance).
+    """
+    return sorted([e for e in f.terms if e & (e - 1)])
+
+
 def _power_row(ctx: FieldCtx, d: int) -> tuple[tuple[int, int], ...]:
     """Histogram of row 1 of x^d, d >= 1, from one x per Frobenius orbit.
 
@@ -218,11 +227,10 @@ def _row_classes(f: UniPoly) -> list[tuple[int, int]]:
     """Differences a != 0 whose rows share a histogram, as (least a, #a) pairs, ascending.
 
     Put x = a y: row a of f has the histogram of row 1 of
-    F_a(y) = sum c_e a^e y^e.  Scaling F_a, adding an additive term c x^(2^i)
-    or a constant (whose difference is a constant), and squaring every
-    coefficient (F^sigma(y^2) = F(y)^2) keep that histogram.  So with e_1 <
-    e_2 < ... the exponents of f that are neither 0 nor a power of two, row
-    a's histogram is fixed by the logarithms
+    F_a(y) = sum c_e a^e y^e.  Scaling F_a, dropping the terms that miss
+    phi_f, and squaring every coefficient (F^sigma(y^2) = F(y)^2) keep that
+    histogram.  So with e_1 < e_2 < ... the exponents that reach phi_f
+    (_phi_exponents), row a's histogram is fixed by the logarithms
     L_i(a) = log c_i - log c_1 + (e_i - e_1) log a mod q - 1, i >= 2, up to
     doubling every L_i at once.  The key of a is rep[L_2] with every other
     L_i multiplied by 2^shift[L_2] (_cyclotomic_canon).  When L_2's coset
@@ -234,7 +242,7 @@ def _row_classes(f: UniPoly) -> list[tuple[int, int]]:
     """
     ctx = f.ctx
     m = ctx.order - 1
-    terms = sorted((e, c) for e, c in f.terms.items() if e & (e - 1))
+    terms = [(e, f.terms[e]) for e in _phi_exponents(f)]
     if len(terms) < 2:
         return [(1, m)]
     _, log = log_tables(ctx)
@@ -360,10 +368,10 @@ def _spectrum_path(f: UniPoly, full: bool = False) -> str:
         raise ConstraintViolated(
             f"spectrum enumeration is capped at n <= {SPECTRUM_MAX_N}, got {n}"
         )
-    positive = [e for e in f.terms if e]
-    if not full and len(positive) == 1:
+    exponents = _phi_exponents(f)
+    if not full and len(exponents) == 1:
         return "power"
-    if not full and all(e.bit_count() <= 2 for e in positive):
+    if not full and all(e.bit_count() <= 2 for e in exponents):
         return "quadratic"
     if n > SCAN_MAX_N:
         reason = "a full table" if full else "an input that is neither a power map nor quadratic"
@@ -378,14 +386,12 @@ def _spectrum_path(f: UniPoly, full: bool = False) -> str:
     return "scan"
 
 
-def _spectrum_rows(args):
-    n, modulus, terms, classes, full = args
-    ctx = create_field(n, modulus)
-    q = ctx.order
+def _spectrum_rows(f: UniPoly, classes: list[tuple[int, int]], full: bool):
+    q = f.ctx.order
     weight = dict(classes)
     rows: Counter = Counter()
     table: dict[int, dict[int, int]] = {}
-    for a, values in _pair_differences(UniPoly(ctx, terms).value_table(), list(weight)):
+    for a, values in _pair_differences(f.value_table(), list(weight)):
         pairs = Counter(values)
         rows[_pair_histogram(pairs, q)] += weight[a]
         if full:
@@ -397,9 +403,9 @@ def diff_spectrum(f: UniPoly, full: bool = False, jobs: int = 1) -> DiffSpectrum
     """Differential spectrum of f; full also keeps the (a, b) table.
 
     The rows come from one of three paths:
-      - power (one term of exponent >= 1, plus any constant): row a is row 1
-        with b relabelled, so row 1 gives every histogram, and row 1 comes
-        from one x per Frobenius orbit (_power_row), in O(q / n) table
+      - power (one exponent e reaches phi_f, _phi_exponents): row a is row
+        1 of x^e with b relabelled, so row 1 gives every histogram, and row 1
+        comes from one x per Frobenius orbit (_power_row), in O(q / n) table
         lookups with no value table;
       - quadratic (every exponent of binary weight <= 2): row a has 2^(n-r)
         solutions for each of 2^r values b, r the GF(2)-rank of the linear
@@ -425,7 +431,7 @@ def diff_spectrum(f: UniPoly, full: bool = False, jobs: int = 1) -> DiffSpectrum
     q = ctx.order
     path = _spectrum_path(f, full)
     if path == "power":
-        hist = _power_row(ctx, max(f.terms))
+        hist = _power_row(ctx, *_phi_exponents(f))
         return DiffSpectrum(ctx=ctx, poly=f, rows=Counter({hist: q - 1}))
     if path == "quadratic":
         # rank r: 2^(n-r) solutions for each of the 2^r values of the coset
@@ -439,17 +445,14 @@ def diff_spectrum(f: UniPoly, full: bool = False, jobs: int = 1) -> DiffSpectrum
     classes = [(a, 1) for a in range(1, q)] if full else _row_classes(f)
     workers = min(jobs, os.cpu_count() or 1, len(classes))
     if workers <= 1 or q < 64:
-        rows, table = _spectrum_rows((ctx.n, ctx.modulus, f.terms, classes, full))
+        rows, table = _spectrum_rows(f, classes, full)
     else:
         import multiprocessing
 
-        chunks = [
-            (ctx.n, ctx.modulus, f.terms, classes[i::workers], full)
-            for i in range(workers)
-        ]
+        chunks = [(f, classes[i::workers], full) for i in range(workers)]
         rows, table = Counter(), {}
         with multiprocessing.get_context("fork").Pool(workers) as pool:
-            for part_rows, part_table in pool.map(_spectrum_rows, chunks):
+            for part_rows, part_table in pool.starmap(_spectrum_rows, chunks):
                 rows.update(part_rows)
                 table.update(part_table)
     return DiffSpectrum(ctx=ctx, poly=f, rows=rows, table=table if full else None)
@@ -458,16 +461,17 @@ def diff_spectrum(f: UniPoly, full: bool = False, jobs: int = 1) -> DiffSpectrum
 def is_apn(f: UniPoly) -> bool:
     """Early-exit APN test; agrees with diff_spectrum(f).uniformity == 2.
 
-    Takes diff_spectrum's path: a power map checks that row 1's largest
-    count is 2, reading one x per Frobenius orbit (_power_row), a quadratic
-    map needs rank n - 1 (a kernel of dimension 1) on every row, and any
-    other f scans row by row, up to SCAN_MAX_N, stopping at the first row
-    whose q/2 pair values are not all distinct (a count above 2).  The
+    Takes diff_spectrum's path: a power map checks that row 1 of x^e, e its
+    one exponent reaching phi_f, has largest count 2, reading one x per
+    Frobenius orbit (_power_row), a quadratic map needs rank n - 1 (a kernel
+    of dimension 1) on every row, and any other f scans row by row, up to
+    SCAN_MAX_N, stopping at the first row whose q/2 pair values are not all
+    distinct (a count above 2).  The
     power and quadratic paths build no value table.  The quadratic one reads
     f only at the n(n+1)/2 + 1 points the elimination needs, and has no
-    early exit: it ranks every row at once
-    (_quadratic_ranks), so a non-APN quadratic map costs as much as an APN
-    one, where a row-by-row rank could stop at the first row of lower rank.
+    early exit: it ranks every row at once (_quadratic_ranks), so a non-APN
+    quadratic map costs as much as an APN one, where a row-by-row rank could
+    stop at the first row of lower rank.
     The scan reads rows in order rather than one per class (_row_classes):
     its first row usually decides, and building the classes first would add
     O(q) before that exit.
@@ -475,7 +479,7 @@ def is_apn(f: UniPoly) -> bool:
     half = f.ctx.order // 2
     path = _spectrum_path(f)
     if path == "power":
-        return _power_row(f.ctx, max(f.terms))[-1][0] == 2
+        return _power_row(f.ctx, *_phi_exponents(f))[-1][0] == 2
     if path == "quadratic":
         return _quadratic_ranks(f).count(f.ctx.n - 1) == f.ctx.order - 1
     rows = _pair_differences(f.value_table(), range(1, f.ctx.order))
@@ -531,8 +535,8 @@ def _square_sum(g: UniPoly) -> int:
     """sum of delta_g(a, b)^2 over a != 0 and every b, along diff_spectrum's path.
 
     A row's square sum is 4 sum_b c_b^2, c_b the number of pairs {x, x + a}
-    with value b.  The power path takes q - 1 times row 1's, sum delta^2 #b
-    over its histogram (_power_row, no value table); the quadratic
+    with value b.  The power path takes q - 1 times row 1's of x^e, sum
+    delta^2 #b over its histogram (_power_row, no value table); the quadratic
     path 2^(2n - r) for each row of rank r, counting the rows of each rank
     in the bytes _quadratic_ranks returns, with no value table.  The scan
     reads one row per class of a (_row_classes: row a of g has the histogram
@@ -546,7 +550,7 @@ def _square_sum(g: UniPoly) -> int:
     q = ctx.order
     path = _spectrum_path(g)
     if path == "power":
-        return (q - 1) * sum(c * c * k for c, k in _power_row(ctx, max(g.terms)))
+        return (q - 1) * sum(c * c * k for c, k in _power_row(ctx, *_phi_exponents(g)))
     if path == "quadratic":
         ranks = _quadratic_ranks(g)
         return sum(ranks.count(r) << (2 * ctx.n - r) for r in range(ctx.n + 1))
@@ -584,14 +588,15 @@ def _plane_and_line(g: UniPoly) -> tuple[int, int]:
 
     g' = sum_(j odd) c_j t^(j-1) is the formal derivative, the line
     polynomial sum_(j = 3 mod 4) c_j t^(j-3).  Along diff_spectrum's path:
-      - power, c x^e + c0 with e >= 3 (projective_point_count's e): for
-        odd e, g' = c t^(e-1) is 0 only at t = 0 and gcd(e - 1, q - 1)-to-1
-        on the rest; for even e, g' = 0.  The line polynomial is c t^(e-3)
+      - power, c x^e + c_1 x + ..., e the one exponent reaching phi_g: for
+        odd e, g' = c t^(e-1) + c_1 takes c_1 only at t = 0 and is
+        gcd(e - 1, q - 1)-to-1 on the rest; for even e, g' = c_1.  The
+        line polynomial is c t^(e-3)
         when e = 3 mod 4, with no zero when e = 3 and only t = 0 when
         e > 3, and 0 otherwise;
       - quadratic: g' = c_1 + sum c_(2^i+1) t^(2^i) is a constant plus a
-        GF(2)-linear map, so every value it takes has 2^k preimages, k = n
-        minus the rank of the map's images of the n basis points; 3 is the
+        GF(2)-linear map, so every value it takes has 2^k preimages, k the
+        kernel dimension of its images of the n basis points; 3 is the
         only weight-2 exponent = 3 mod 4, so the line polynomial is c_3;
       - scan: g' and the line polynomial from their value tables.
     """
@@ -599,21 +604,14 @@ def _plane_and_line(g: UniPoly) -> tuple[int, int]:
     q = ctx.order
     path = _spectrum_path(g)
     if path == "power":
-        e = max(terms)
+        (e,) = _phi_exponents(g)
         fibres = (q - 1) * (math.gcd(e - 1, q - 1) - 1) if e % 2 else q * (q - 1)
         return fibres, q if e % 4 != 3 else int(e > 3)
     if path == "quadratic":
-        tables = log_tables(ctx)
-        _, log = tables
+        _, log = tables = log_tables(ctx)
         linear = UniPoly(ctx, {j - 1: c for j, c in terms.items() if j % 2 and j > 1})
         images = linear._values_at_logs([log[1 << i] for i in range(ctx.n)], tables)
-        pivots: dict[int, int] = {}  # XOR basis of the images, keyed by leading bit
-        for v in images:
-            while v and v.bit_length() in pivots:
-                v ^= pivots[v.bit_length()]
-            if v:
-                pivots[v.bit_length()] = v
-        return q * ((1 << (ctx.n - len(pivots))) - 1), 0 if 3 in terms else q
+        return q * ((1 << len(_gf2_kernel(images))) - 1), 0 if 3 in terms else q
     line = UniPoly(ctx, {j - 3: c for j, c in terms.items() if j % 4 == 3}).value_table().count(0)
     derivative = UniPoly(ctx, {j - 1: c for j, c in terms.items() if j % 2})
     fibres = Counter(derivative.value_table()).values()
@@ -632,32 +630,32 @@ def projective_point_count(f: UniPoly) -> int:
         holds sum_v m_v (m_v - 1) zeros with t != z, m_v = #{t : g'(t) = v};
       - on the line x = y = z, phi_g(t, t, t) = sum_{j = 3 mod 4} c_j t^(j-3);
       - the affine count is off + 3 * plane - 2 * line.
-    The top homogeneous part of phi_f is c_e phi_e, e the largest exponent of
-    f that is >= 3 and not a power of two.  Its zeros form a cone through the
+    The top homogeneous part of phi_f is c_e phi_e, e the largest exponent
+    reaching phi_f (_phi_exponents).  Its zeros form a cone through the
     origin, so the points at infinity number (affine(x^e) - 1) / (q - 1),
-    none when e = 3 (phi_3 = 1).  The square sums follow diff_spectrum's
-    paths (_square_sum), so x^e reads one x per Frobenius orbit, a scanned g
-    reads one row per class of a, counts each pair {x, x + a} once and
-    builds no per-row histogram.  The plane and line counts have closed
-    forms on the power and quadratic paths (_plane_and_line), so those
-    build no value table; only a scanned g builds the tables of g' and the
-    line polynomial.  The paths' caps are the count's caps: an f over them
-    is refused before any table is built.
-    If f is additive (every exponent 0 or a power of two), phi_f = 0 and every
-    point counts.
+    none when e = 3 (phi_3 = 1); when e is the only such exponent,
+    phi_f = c_e phi_e, so affine(x^e) is f's own affine count.  The square
+    sums follow diff_spectrum's paths (_square_sum), so x^e reads one x per
+    Frobenius orbit, a scanned g reads one row per class of a, counts each
+    pair {x, x + a} once and builds no per-row histogram.  The plane and
+    line counts have closed forms on the power and quadratic paths
+    (_plane_and_line), so those build no value table; only a scanned g
+    builds the tables of g' and the line polynomial.  The paths' caps are
+    the count's caps: an f over them is refused before any table is built.
+    If no exponent reaches phi_f (f is affine), phi_f = 0 and every point counts.
     """
     ctx = f.ctx
     q = ctx.order
-    e = max((j for j in f.terms if j >= 3 and j & (j - 1)), default=None)
-    if e is None:
+    exponents = _phi_exponents(f)
+    if not exponents:
         # the whole space plus the projective plane at infinity
         return q**3 + q * q + q + 1
 
     affine = _affine_zero_count(f)
-    if e == 3:
+    if exponents == [3]:
         return affine
 
-    cone = _affine_zero_count(UniPoly(ctx, {e: 1}))
+    cone = affine if len(exponents) == 1 else _affine_zero_count(UniPoly(ctx, {exponents[-1]: 1}))
     infinity, rest = divmod(cone - 1, q - 1)
     if rest:
         raise AssertionError("zeros of the top homogeneous part do not form a cone")

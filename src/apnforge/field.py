@@ -102,6 +102,22 @@ def is_irreducible(modulus: int, n: int) -> bool:
     return True
 
 
+def _gf2_kernel(rows: list[int]) -> list[int]:
+    """GF(2) kernel basis of e_i -> rows[i]: masks whose set bits pick rows that XOR to 0."""
+    pivots: dict[int, tuple[int, int]] = {}
+    kernel = []
+    for i, v in enumerate(rows):
+        c = 1 << i
+        while v and v.bit_length() in pivots:
+            bv, bc = pivots[v.bit_length()]
+            v, c = v ^ bv, c ^ bc
+        if v:
+            pivots[v.bit_length()] = (v, c)
+        else:
+            kernel.append(c)
+    return kernel
+
+
 @dataclass(frozen=True)
 class FieldCtx:
     """GF(2^n) with a fixed irreducible modulus; elements are ints < 2^n."""
@@ -177,22 +193,8 @@ class FieldCtx:
         """
         if k < 1 or self.n % k != 0:
             raise ValueError(f"GF(2^{k}) is not a subfield of GF(2^{self.n})")
-        rows = [self.frobenius(1 << i, k) ^ (1 << i) for i in range(self.n)]
         # nullspace of v -> v^(2^k) + v; combination masks are field elements
-        pivots: dict[int, tuple[int, int]] = {}
-        kernel = []
-        for i, v in enumerate(rows):
-            c = 1 << i
-            while v:
-                lead = v.bit_length() - 1
-                if lead not in pivots:
-                    pivots[lead] = (v, c)
-                    break
-                bv, bc = pivots[lead]
-                v ^= bv
-                c ^= bc
-            else:
-                kernel.append(c)
+        kernel = _gf2_kernel([self.frobenius(1 << i, k) ^ (1 << i) for i in range(self.n)])
         if len(kernel) != k:
             raise AssertionError("Frobenius fixed space has wrong dimension")
         elems = [0]

@@ -92,8 +92,8 @@ def pool_sizes(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, chunks):
-            return [fn(chunk) for chunk in chunks]
+        def starmap(self, fn, chunks):
+            return [fn(*chunk) for chunk in chunks]
 
     class StubContext:
         Pool = RecordingPool
@@ -217,9 +217,11 @@ def test_power_path_matches_scan_every_monomial():
     for n in range(1, 8):
         ctx = create_field(n)
         for d in range(1, 71):
-            _check_against_scan(UniPoly(ctx, {d: 1}), "power")
-        # coefficients and a constant only relabel b
+            # an additive monomial reaches no term of phi_f
+            _check_against_scan(UniPoly(ctx, {d: 1}), "power" if d & (d - 1) else "quadratic")
+        # coefficients, a constant and additive terms only relabel b
         _check_against_scan(UniPoly(ctx, {13: ctx.order - 1, 0: 1}), "power")
+        _check_against_scan(UniPoly(ctx, {13: 1, 8: 1, 1: ctx.order - 1, 0: 1}), "power")
 
 
 def test_quadratic_path_matches_scan_seeded():
@@ -232,7 +234,8 @@ def test_quadratic_path_matches_scan_seeded():
         terms[0] = rng.randrange(q)  # constant term, zero or not
         terms[1] = rng.randrange(q)  # linear term, zero or not
         f = UniPoly(create_field(n), terms)
-        _check_against_scan(f, "power" if len([e for e in f.terms if e]) == 1 else "quadratic")
+        # additive and constant terms do not count towards a power map
+        _check_against_scan(f, "power" if len([e for e in f.terms if e & (e - 1)]) == 1 else "quadratic")
 
 
 def _oracle_rank(vectors: list[int]) -> int:
@@ -352,8 +355,9 @@ def test_fast_paths_match_scan_on_additive_functions():
         q = ctx.order
         _check_against_scan(UniPoly(ctx, {4: 1, 2: 1, 1: q - 1, 0: 1}), "quadratic")
         _check_against_scan(UniPoly(ctx, {2: 1, 1: 1}), "quadratic")
-        _check_against_scan(UniPoly(ctx, {8: 1}), "power")
+        _check_against_scan(UniPoly(ctx, {8: 1}), "quadratic")
         _check_against_scan(UniPoly(ctx, {0: 1}), "quadratic")
+        _check_against_scan(UniPoly(ctx, {7: 1, 4: 1, 1: 1, 0: 1}), "power")  # affine tail
         spec = diff_spectrum(UniPoly(ctx, {4: 1, 1: 1}))
         assert spec.uniformity == q  # one value b takes every x
 
@@ -516,8 +520,8 @@ def test_a_missing_row_is_caught(monkeypatch):
 def _class_cases(rng: random.Random, n: int) -> list[UniPoly]:
     """Inputs whose row classes differ in kind: binomials with random
     coefficients, three terms with GF(2) and GF(4) coefficients, exponents
-    >= q and = 0 mod q - 1, constant and additive terms, and a single term
-    that is not additive among additive ones."""
+    >= q and = 0 mod q - 1, constant and additive terms, and two terms
+    that are not additive among additive ones."""
     ctx = create_field(n)
     q = ctx.order
 
@@ -531,7 +535,7 @@ def _class_cases(rng: random.Random, n: int) -> list[UniPoly]:
     cases.append({q + 6: coeff(), 3 * q + 4: coeff(), 2 * q - 1: coeff()})
     cases.append({q - 1: coeff(), 2 * (q - 1): coeff(), rng.choice(weight3): coeff()})
     cases.append({11: coeff(), 6: coeff(), 4: coeff(), 1: coeff(), 0: coeff()})
-    cases.append({rng.choice(weight3): coeff(), 8: coeff(), 2: coeff(), 1: coeff(), 0: coeff()})
+    cases.append({rng.choice(weight3): coeff(), 5: coeff(), 8: coeff(), 2: coeff(), 1: coeff(), 0: coeff()})
     return [UniPoly(ctx, terms) for terms in cases]
 
 
@@ -599,7 +603,7 @@ def test_row_classes_turn_short_cosets_to_one_key(n, exponents, cosets):
     f = UniPoly(create_field(n), dict.fromkeys(exponents, 1))
     assert len(ddt_module._row_classes(f)) == cosets == _cyclotomic_coset_count(n)
     every_row = [(a, 1) for a in range(1, f.ctx.order)]
-    rows, _ = ddt_module._spectrum_rows((n, f.ctx.modulus, f.terms, every_row, False))
+    rows, _ = ddt_module._spectrum_rows(f, every_row, False)
     assert diff_spectrum(f).rows == rows
 
 
@@ -779,7 +783,7 @@ def test_closed_form_point_count_matches_oracle(monkeypatch):
             path = _spectrum_path(g)
             fibres, line = _oracle_plane_and_line(g)
             assert ddt_module._plane_and_line(g) == (fibres, line), g
-            e = max(g.terms)
+            e = max((j for j in g.terms if j & (j - 1)), default=0)  # the power exponent
             seen["power, gcd(e - 1, q - 1) > 1"] += (
                 path == "power" and e % 2 == 1 and math.gcd(e - 1, q - 1) > 1
             )
@@ -1041,6 +1045,93 @@ def test_projective_count_above_16_reads_tables():
 def test_projective_count_degenerate_surface():
     # phi of x^3 is the constant 1: no zeros anywhere
     assert projective_point_count(UniPoly(create_field(4), {3: 1})) == 0
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_affine_terms_change_no_answer_on_any_path(n, monkeypatch):
+    # a constant and additive terms relabel b in every row and leave phi_f
+    # alone (EA-invariance), so f and f + L + c agree with each other and
+    # with the full scan of f + L + c on every path
+    rng = random.Random(30 + n)
+    ctx = create_field(n)
+    q = ctx.order
+
+    def coeff():
+        return rng.randrange(1, q)
+
+    cases = [
+        ({7: coeff()}, "power"),
+        ({13: coeff()}, "power"),
+        ({3: coeff(), 12: coeff()}, "quadratic"),
+        ({9: coeff(), 7: coeff()}, "scan"),
+        ({19: coeff(), 5: coeff(), 3: coeff()}, "scan"),
+    ]
+
+    def full_square_sum(h):
+        table = diff_spectrum(h, full=True).table
+        return sum(c * c for row in table.values() for c in row.values())
+
+    for terms, path in cases:
+        f = UniPoly(ctx, terms)
+        # several additive terms, exponents beyond q among them, and a constant
+        tail = {1 << k: coeff() for k in rng.sample(range(2 * n + 1), min(3, 2 * n + 1))}
+        g = UniPoly(ctx, terms | tail | {0: coeff()})
+        assert _spectrum_path(g) == path, g
+        full = diff_spectrum(g, full=True)
+        assert diff_spectrum(g).rows == full.rows == diff_spectrum(f).rows, g
+        assert is_apn(g) == full.is_apn() == is_apn(f), g
+        assert ddt_module._square_sum(g) == full_square_sum(g) == ddt_module._square_sum(f), g
+        count = projective_point_count(g)
+        assert count == projective_point_count(f), g
+        with monkeypatch.context() as patch:
+            patch.setattr(ddt_module, "_square_sum", full_square_sum)
+            patch.setattr(ddt_module, "_plane_and_line", _oracle_plane_and_line)
+            assert projective_point_count(g) == count, g
+
+
+@pytest.mark.parametrize(
+    "n,terms,histogram,points,seconds",
+    [
+        (16, {7: 1, 1: 1}, [(0, 2497997595), (2, 1621598040), (4, 65535), (6, 175240590)],
+         4206755841, 2.0),
+        (20, {13: 1, 4: 1}, [(0, 641380821675), (2, 439803812250), (4, 1048575), (12, 18324896700)],
+         2199005429761, 8.0),
+    ],
+)
+def test_affine_tails_above_the_scan_cap_take_the_power_path(n, terms, histogram, points, seconds):
+    # above SCAN_MAX_N no scan can answer: the additive term must leave x^e
+    # on the power path; about 0.1 s and 1.5 s on a 2-core x86_64 host
+    f = UniPoly(create_field(n), terms)
+    start = time.perf_counter()
+    spectrum = diff_spectrum(f)
+    apn = is_apn(f)
+    count = projective_point_count(f)
+    assert time.perf_counter() - start < seconds
+    assert spectrum.histogram() == histogram
+    assert apn is False
+    assert count == points
+    monomial = UniPoly(f.ctx, {max(terms): 1})
+    assert spectrum.rows == diff_spectrum(monomial).rows
+    assert count == projective_point_count(monomial)
+
+
+def test_power_map_point_count_runs_one_affine_count(monkeypatch):
+    # phi_f = c_e phi_e: the cone at infinity is counted on f's own zeros
+    calls = []
+    affine = ddt_module._affine_zero_count
+
+    def spy(g):
+        calls.append(g)
+        return affine(g)
+
+    monkeypatch.setattr(ddt_module, "_affine_zero_count", spy)
+    ctx = create_field(4)
+    for terms, runs in (({5: 1}, 1), ({13: 3, 4: 1, 1: 2, 0: 1}, 1), ({9: 1, 7: 1}, 2)):
+        calls.clear()
+        f = UniPoly(ctx, terms)
+        count = projective_point_count(f)
+        assert len(calls) == runs, terms
+        assert count == _brute_point_count(f), terms
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""The runtime needs only the standard library, and its sources parse as Python 3.10."""
+"""The runtime needs only the standard library, and its sources and scripts parse as Python 3.10."""
 
 import ast
 import json
@@ -32,8 +32,10 @@ def test_import_loads_only_standard_library_modules():
 
 
 def test_sources_parse_as_python_3_10():
-    # the runtime floor is Python 3.10: syntax such as except* must not appear
-    sources = sorted((SRC / "apnforge").glob("*.py"))
-    assert sources
-    for path in sources:
+    # the runtime floor is Python 3.10: syntax such as except* must not appear,
+    # in the library or in the scripts that run its workloads
+    library = sorted((SRC / "apnforge").glob("*.py"))
+    scripts = sorted((SRC.parent / "scripts").glob("*.py"))
+    assert library and scripts
+    for path in library + scripts:
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

@@ -29,8 +29,6 @@ from .field import create_field
 from .phi import build_phi, build_phi_j, denominator_surface, gold_product
 from .poly import (
     ConstraintViolated,
-    NotDivisible,
-    PolyParseError,
     UniPoly,
     parse_unipoly,
     tri_mul,
@@ -552,7 +550,7 @@ def run(argv=None) -> int:
 
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (ConstraintViolated, NotDivisible, PolyParseError, ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:  # the domain errors subclass ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -149,7 +149,7 @@ def _pair_histogram(pairs: Counter, q: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _cyclotomic_canon(n: int) -> tuple[list[int], list[int], dict[int, int], list[int]]:
+def _cyclotomic_canon(n: int) -> tuple[list[int], list[int] | None, dict[int, int], list[int]]:
     """(rep, shift, short, leaders) over the residues x mod m = 2^n - 1, built on first use.
 
     rep[x] is the least element of x's cyclotomic coset {x 2^k mod m} and
@@ -158,10 +158,12 @@ def _cyclotomic_canon(n: int) -> tuple[list[int], list[int], dict[int, int], lis
     every other coset but {0}, ascending, so each coset's least element and
     size come from the one walk.  Walking x upward, the first x not yet seen
     is the least of its coset, and x 2^j in it needs k = -j mod the coset's
-    length.
+    length.  Only the scan (_row_classes) reads shift, so above SCAN_MAX_N
+    it is None.
     """
     m = (1 << n) - 1
-    rep, shift, short, leaders = [-1] * m, [0] * m, {}, []
+    rep, short, leaders = [-1] * m, {}, []
+    shift = [0] * m if n <= SCAN_MAX_N else None
     for x in range(m):
         if rep[x] >= 0:
             continue
@@ -174,7 +176,9 @@ def _cyclotomic_canon(n: int) -> tuple[list[int], list[int], dict[int, int], lis
         elif x:  # {0} has length n only when n = 1
             leaders.append(x)
         for j, y in enumerate(coset):
-            rep[y], shift[y] = x, -j % len(coset)
+            rep[y] = x
+            if shift is not None:
+                shift[y] = -j % len(coset)
     return rep, shift, short, leaders
 
 

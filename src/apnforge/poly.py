@@ -10,9 +10,13 @@ the one place that drops zeros.
 
 from __future__ import annotations
 
+import re
+
 from .field import FieldCtx, log_tables
 
 DEGREE_CAP = 1 << 16
+# one term of polynomial text: an optional hex coefficient, then x^E
+_TERM = re.compile(r"(?:0[xX]([0-9a-fA-F]+)\s*\*\s*)?x(?:\s*\^\s*([0-9]+))?")
 
 
 class NotDivisible(ValueError):
@@ -143,71 +147,35 @@ class UniPoly(_SparsePoly):
 
 
 def parse_unipoly(text: str, ctx: FieldCtx) -> UniPoly:
-    """Parse `term (+ term)*`, term `[0xC*]x[^e]`; whitespace insignificant.
+    """Parse `term (+ term)*`, each term a full match of _TERM: `[0xC*]x[^E]`.
 
-    Coefficients are hex with mandatory 0x prefix and must be representable in
-    ctx; exponents are decimal.  Repeated exponents accumulate (XOR).
+    Whitespace (str.isspace) may surround `+`, `*` and `^`, but not split a
+    number or `0x` from its digits.  Coefficients are hex and must be
+    representable in ctx; exponents are ASCII decimal, at most DEGREE_CAP.
+    Repeated exponents accumulate (XOR).  An error names the offending term
+    and the position where it starts.
     """
-    i = 0
-    n = len(text)
-
-    def skip_ws():
-        nonlocal i
-        while i < n and text[i].isspace():
-            i += 1
-
-    def fail(msg):
-        raise PolyParseError(f"{msg} at position {i}")
-
-    terms: dict[int, int] = {}
-    skip_ws()
-    if i >= n:
+    if not text.strip():
         raise PolyParseError("empty polynomial text")
-    while True:
-        coeff = 1
-        if text.startswith("0x", i) or text.startswith("0X", i):
-            j = i + 2
-            while j < n and text[j] in "0123456789abcdefABCDEF":
-                j += 1
-            if j == i + 2:
-                fail("expected hex digits after 0x")
-            coeff = int(text[i:j], 16)
-            if coeff >= ctx.order:
-                fail(f"coefficient 0x{coeff:x} not representable in GF(2^{ctx.n})")
-            i = j
-            skip_ws()
-            if i >= n or text[i] != "*":
-                fail("expected '*' after coefficient")
-            i += 1
-            skip_ws()
-        if i >= n or text[i] != "x":
-            fail("expected 'x'")
-        i += 1
-        exp = 1
-        skip_ws()
-        if i < n and text[i] == "^":
-            i += 1
-            skip_ws()
-            j = i
-            while j < n and text[j] in "0123456789":
-                j += 1
-            if j == i:
-                fail("expected digits after '^'")
-            digits = text[i:j].lstrip("0") or "0"
-            if len(digits) > len(str(DEGREE_CAP)):
-                fail(f"a {len(digits)}-digit exponent exceeds cap {DEGREE_CAP}")
-            exp = int(digits)
-            if exp > DEGREE_CAP:
-                fail(f"exponent {exp} exceeds cap {DEGREE_CAP}")
-            i = j
+    terms: dict[int, int] = {}
+    start = 0  # where the current piece begins in text
+    for piece in text.split("+"):
+        term = piece.strip()
+        where = f"{term!r} at position {start + len(piece) - len(piece.lstrip())}"
+        start += len(piece) + 1
+        match = _TERM.fullmatch(term)
+        if match is None:
+            raise PolyParseError(f"expected a term [0xC*]x[^E], got {where}")
+        coeff = int(match[1], 16) if match[1] else 1
+        if coeff >= ctx.order:
+            raise PolyParseError(
+                f"coefficient 0x{coeff:x} not representable in GF(2^{ctx.n}), in {where}"
+            )
+        digits = (match[2] or "1").lstrip("0") or "0"
+        # the length test comes first: int() refuses strings over 4300 digits
+        if len(digits) > len(str(DEGREE_CAP)) or (exp := int(digits)) > DEGREE_CAP:
+            raise PolyParseError(f"exponent exceeds cap {DEGREE_CAP}, in {where}")
         terms[exp] = terms.get(exp, 0) ^ coeff
-        skip_ws()
-        if i >= n:
-            break
-        if text[i] != "+":
-            fail(f"unexpected character {text[i]!r}")
-        i += 1
-        skip_ws()
     return UniPoly(ctx, terms)
 
 

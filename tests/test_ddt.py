@@ -614,6 +614,20 @@ def test_generic_input_still_reads_every_row():
     assert len(ddt_module._row_classes(f)) == f.ctx.order - 1
 
 
+def test_cyclotomic_canon_builds_shift_only_where_the_scan_runs():
+    # only _row_classes reads shift, and the scan refuses n > SCAN_MAX_N;
+    # above it the power path reads rep, short and leaders alone
+    rep, shift, _, _ = ddt_module._cyclotomic_canon(SCAN_MAX_N)
+    assert len(shift) == len(rep) == 2**SCAN_MAX_N - 1
+    assert SCAN_MAX_N < 15
+    rep, shift, short, leaders = ddt_module._cyclotomic_canon(15)
+    assert shift is None
+    # {0}, 2 cosets of length 3 (GF(8)) and 6 of length 5 (GF(32)); the
+    # rest have length 15, and together they cover every residue once
+    assert len(short) == 9
+    assert sum(short.values()) + 15 * len(leaders) == len(rep) == 2**15 - 1
+
+
 def test_pooled_classes_match_serial(monkeypatch, pool_sizes):
     monkeypatch.setattr(os, "cpu_count", lambda: 1000)
     f = UniPoly(create_field(7), {9: 1, 7: 1})

@@ -103,6 +103,84 @@ def test_parse_unipoly_coefficient_range():
         parse_unipoly("0x9*x^2", F8)  # 0x9 needs four bits
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("x^3 + 0x3 x", r"expected a term \[0xC\*\]x\[\^E\], got '0x3 x' at position 6"),
+        ("x^3 +", r"got '' at position 5"),
+        ("x +\t0x1ff * x^2", r"coefficient 0x1ff not .* in '0x1ff \* x\^2' at position 4"),
+        ("x^7+x^65537", r"exponent exceeds cap 65536, in 'x\^65537' at position 4"),
+    ],
+)
+def test_parse_errors_name_the_term_and_its_position(text, message):
+    with pytest.raises(PolyParseError, match=message):
+        parse_unipoly(text, F256)
+
+
+# every character str.isspace accepts; none lies above U+3000
+SPACES = "".join(c for c in map(chr, range(0x3001)) if c.isspace())
+space = st.text(SPACES, max_size=2)
+
+
+@st.composite
+def grammar_term(draw):
+    """A term [0xC*]x[^E] over F256 as named text fields, with its (exponent, coefficient)."""
+    c = draw(st.none() | st.integers(0, 255))
+    e = draw(st.none() | st.integers(0, 9) | st.integers(0, DEGREE_CAP))
+    fields = {"prefix": "", "hex": "", "star": "", "x": "x", "caret": "", "exp": ""}
+    if c is not None:
+        fields["prefix"] = draw(st.sampled_from(["0x", "0X"]))
+        fields["hex"] = "0" * draw(st.integers(0, 3)) + "".join(
+            draw(st.sampled_from([d.lower(), d.upper()])) for d in f"{c:x}"
+        )
+        fields["star"] = draw(space) + "*" + draw(space)
+    if e is not None:
+        fields["caret"] = draw(space) + "^" + draw(space)
+        fields["exp"] = "0" * draw(st.integers(0, 3)) + str(e)
+    return fields, (1 if e is None else e, 1 if c is None else c)
+
+
+def render_terms(terms, seps, ends):
+    pieces = ["".join(fields.values()) for fields in terms]
+    return ends[0] + pieces[0] + "".join(s + p for s, p in zip(seps, pieces[1:])) + ends[1]
+
+
+@settings(max_examples=300)
+@given(drawn=st.lists(grammar_term(), min_size=1, max_size=6), data=st.data())
+def test_parse_unipoly_follows_the_grammar(drawn, data):
+    terms = [fields for fields, _ in drawn]
+    seps = [data.draw(space) + "+" + data.draw(space) for _ in terms[1:]]
+    ends = (data.draw(space), data.draw(space))
+    want: dict[int, int] = {}
+    for e, c in (pair for _, pair in drawn):
+        want[e] = want.get(e, 0) ^ c
+    text = render_terms(terms, seps, ends)
+    assert parse_unipoly(text, F256) == UniPoly(F256, want)
+
+    # one edit that leaves the grammar, in term k or around it
+    k = data.draw(st.integers(0, len(terms) - 1))
+    fields = terms[k]
+
+    def with_term_k(**edit):
+        return render_terms([dict(t, **edit) if i == k else t for i, t in enumerate(terms)], seps, ends)
+
+    broken = [with_term_k(x="X"), text + "+"]
+    if fields["star"]:
+        broken.append(with_term_k(star=fields["star"].replace("*", "")))
+        broken.append(with_term_k(prefix=fields["prefix"] + data.draw(st.sampled_from(SPACES))))
+    if fields["exp"]:
+        # superscript two is no decimal digit, Arabic-Indic three is one but not ASCII
+        digit = data.draw(st.sampled_from(["\u00b2", "\u0663"]))
+        i = data.draw(st.integers(0, len(fields["exp"])))
+        broken.append(with_term_k(exp=fields["exp"][:i] + digit + fields["exp"][i:]))
+    if seps:
+        j = data.draw(st.integers(0, len(seps) - 1))
+        doubled = [s.replace("+", "++") if i == j else s for i, s in enumerate(seps)]
+        broken.append(render_terms(terms, doubled, ends))
+    with pytest.raises(PolyParseError):
+        parse_unipoly(data.draw(st.sampled_from(broken)), F256)
+
+
 @given(
     terms=st.dictionaries(st.integers(0, 40), st.integers(1, 255), max_size=8)
 )

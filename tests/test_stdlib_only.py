@@ -1,4 +1,4 @@
-"""The runtime needs only the standard library, and its sources and scripts parse as Python 3.10."""
+"""The runtime needs only the standard library, and its sources, scripts and tests parse as Python 3.10."""
 
 import ast
 import json
@@ -33,9 +33,10 @@ def test_import_loads_only_standard_library_modules():
 
 def test_sources_parse_as_python_3_10():
     # the runtime floor is Python 3.10: syntax such as except* must not appear,
-    # in the library or in the scripts that run its workloads
+    # in the library, in the scripts that run its workloads or in its tests
     library = sorted((SRC / "apnforge").glob("*.py"))
     scripts = sorted((SRC.parent / "scripts").glob("*.py"))
-    assert library and scripts
-    for path in library + scripts:
+    tests = sorted(Path(__file__).parent.glob("*.py"))
+    assert library and scripts and tests
+    for path in library + scripts + tests:
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

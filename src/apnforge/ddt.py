@@ -191,39 +191,72 @@ def _phi_exponents(f: UniPoly) -> list[int]:
     return sorted([e for e in f.terms if e & (e - 1)])
 
 
+@lru_cache(maxsize=16)
+def _orbit_pairs(ctx: FieldCtx) -> tuple[list[int], list[int], list[int]]:
+    """(rs, ls, weights): one x != 0, 1 per orbit of x -> x^2 and x -> x + 1.
+
+    The two maps commute, so the orbit of x is C(x) u C(x + 1), C(x) its
+    Frobenius orbit: the cyclotomic coset of log x (_cyclotomic_canon), and
+    C(x + 1) has the same size.  Each orbit is read at the coset with the
+    smaller rep, and weighs |C(x)| when x + 1 lies in C(x), 2 |C(x)| when
+    not.  rs and ls hold log x and log(x + 1), one per orbit: first the
+    orbits of two cosets of length n, each of weight 2n, nearly all of them,
+    then the others, short or self-paired, whose weights are the list
+    weights.  Which cosets pair depends on the modulus, so this is cached
+    per context like log_tables, built on first use.
+    """
+    exp, log = log_tables(ctx)
+    rep, _, short, leaders = _cyclotomic_canon(ctx.n)
+    rs, ls, rest = [], [], []
+    for r in leaders + [r for r in short if r]:
+        l1 = log[exp[r] ^ 1]
+        if rep[l1] < r:
+            continue  # the orbit is read at C(x + 1)
+        size = short.get(r, ctx.n)
+        if size == ctx.n and rep[l1] > r:
+            rs.append(r)
+            ls.append(l1)
+        else:
+            rest.append((r, l1, size if rep[l1] == r else 2 * size))
+    rs += [r for r, _, _ in rest]
+    ls += [l for _, l, _ in rest]
+    return rs, ls, [weight for _, _, weight in rest]
+
+
 def _power_row(ctx: FieldCtx, d: int) -> tuple[tuple[int, int], ...]:
-    """Histogram of row 1 of x^d, d >= 1, from one x per Frobenius orbit.
+    """Histogram of row 1 of x^d, d >= 1, from one x per orbit of x -> x^2, x -> x + 1.
 
     Row a of c x^d + c0 is row 1 with b -> c a^d b (substitute x = a y), so
     this is the histogram of every row a != 0, in _pair_histogram's form.
-    F(x) = x^d + (x + 1)^d has F(x^2) = F(x)^2, so F maps the orbit of x
-    under squaring, of size s, onto the orbit of F(x), of size t dividing s,
-    and hits each of its t values s / t times: delta(1, b) is the sum of s
-    over the orbits mapped onto b's orbit, divided by t.  The orbits of
-    x != 0 are the cyclotomic cosets of log x (_cyclotomic_canon), so one x
-    per coset is read, O(q / n) table lookups.  A value orbit is keyed by
+    F(x) = x^d + (x + 1)^d has F(x^2) = F(x)^2 (Blondeau-Canteaut-Charpin
+    2010) and F(x + 1) = F(x), so F maps the orbit of x under both maps, of
+    size s, onto the Frobenius orbit of F(x), of size t dividing s, and hits
+    each of its t values s / t times: delta(1, b) is the sum of s over the
+    orbits mapped onto b's orbit, divided by t.  The orbits of x != 0, 1 and
+    their sizes come from _orbit_pairs, one x per pair of cyclotomic cosets
+    {C(x), C(x + 1)}, so about q / 2n x are read.  A value orbit is keyed by
     rep[log b], and b = 0 by -1: F(x) = 0 when ((x + 1) / x)^d = 1, which
     has solutions once gcd(d, q - 1) > 1.
     """
     exp, log = log_tables(ctx)
-    rep, _, short, leaders = _cyclotomic_canon(ctx.n)
+    rep, _, short, _ = _cyclotomic_canon(ctx.n)
+    rs, ls, weights = _orbit_pairs(ctx)
     n, m = ctx.n, ctx.order - 1
-
-    def keys(rs: list[int]) -> list[int]:
-        # the orbit key of F(x) for x = exp[r], r != 0
-        bs = [exp[r * d % m] ^ exp[log[exp[r] ^ 1] * d % m] for r in rs]
-        return [rep[log[b]] if b else -1 for b in bs]
-
-    # value orbit -> #x mapped onto it; each coset in leaders has n elements
-    hits = Counter({key: n * k for key, k in Counter(keys(leaders)).items()})
-    others = [r for r in short if r]  # the short cosets but {0}
-    for key, s in zip(keys(others), map(short.get, others)):
-        hits[key] += s
-    hits[0] += 2  # x = 0 and x = 1 (log 0, where x + 1 has no log): b = 1
-    per_count: Counter = Counter()
+    # the orbit key of F(x) for x = exp[r], x + 1 = exp[l]
+    bs = [exp[r * d % m] ^ exp[l * d % m] for r, l in zip(rs, ls)]
+    keys = [rep[log[b]] if b else -1 for b in bs]
+    split = len(keys) - len(weights)
+    # value orbit -> #x mapped onto it; each orbit before split has 2n
+    # elements.  Plain dicts: Counter's Python-level __init__ and
+    # __missing__ make a call 20-30% slower at n <= 8.
+    hits = {key: 2 * n * k for key, k in Counter(keys[:split]).items()}
+    for key, weight in zip(keys[split:], weights):
+        hits[key] = hits.get(key, 0) + weight
+    hits[0] = hits.get(0, 0) + 2  # x = 0 and x = 1 (log 0, where x + 1 has no log): b = 1
+    per_count: dict[int, int] = {}
     for key, total in hits.items():
         t = short.get(key, n) if key >= 0 else 1
-        per_count[total // t] += t
+        per_count[total // t] = per_count.get(total // t, 0) + t
     return ((0, ctx.order - sum(per_count.values())), *sorted(per_count.items()))
 
 
@@ -409,8 +442,8 @@ def diff_spectrum(f: UniPoly, full: bool = False, jobs: int = 1) -> DiffSpectrum
     The rows come from one of three paths:
       - power (one exponent e reaches phi_f, _phi_exponents): row a is row
         1 of x^e with b relabelled, so row 1 gives every histogram, and row 1
-        comes from one x per Frobenius orbit (_power_row), in O(q / n) table
-        lookups with no value table;
+        comes from one x per orbit of x -> x^2 and x -> x + 1 (_power_row),
+        about q / 2n of them, with no value table;
       - quadratic (every exponent of binary weight <= 2): row a has 2^(n-r)
         solutions for each of 2^r values b, r the GF(2)-rank of the linear
         map x -> f(x+a) + f(x) + f(a) + f(0); one elimination over q-bit
@@ -424,7 +457,9 @@ def diff_spectrum(f: UniPoly, full: bool = False, jobs: int = 1) -> DiffSpectrum
         f(a y), which scaling, additive terms and squaring every coefficient
         keep, so the scan reads one row per class of a (_row_classes) and
         weighs it by the class size: about q/n rows for a binomial, all
-        q - 1 for a generic input.  A full table reads every row.
+        q - 1 for a generic input.  A full table reads every row.  The value
+        table the scan reads comes from UniPoly.value_table, which walks
+        each term along its progression of exp indices.
     Each path counts the rows of each distinct histogram, so the spectrum
     holds one entry per histogram, never one per difference a.
     jobs > 1 splits the scanned rows across processes, at most one per CPU
@@ -465,20 +500,23 @@ def diff_spectrum(f: UniPoly, full: bool = False, jobs: int = 1) -> DiffSpectrum
 def is_apn(f: UniPoly) -> bool:
     """Early-exit APN test; agrees with diff_spectrum(f).uniformity == 2.
 
-    Takes diff_spectrum's path: a power map checks that row 1 of x^e, e its
-    one exponent reaching phi_f, has largest count 2, reading one x per
-    Frobenius orbit (_power_row), a quadratic map needs rank n - 1 (a kernel
-    of dimension 1) on every row, and any other f scans row by row, up to
-    SCAN_MAX_N, stopping at the first row whose q/2 pair values are not all
-    distinct (a count above 2).  The
-    power and quadratic paths build no value table.  The quadratic one reads
-    f only at the n(n+1)/2 + 1 points the elimination needs, and has no
-    early exit: it ranks every row at once (_quadratic_ranks), so a non-APN
-    quadratic map costs as much as an APN one, where a row-by-row rank could
-    stop at the first row of lower rank.
-    The scan reads rows in order rather than one per class (_row_classes):
-    its first row usually decides, and building the classes first would add
-    O(q) before that exit.
+    Takes diff_spectrum's path:
+      - a power map checks that row 1 of x^e, e its one exponent reaching
+        phi_f, has largest count 2, reading one x per orbit of x -> x^2 and
+        x -> x + 1 (_power_row);
+      - a quadratic map needs rank n - 1 (a kernel of dimension 1) on every
+        row.  It reads f only at the n(n+1)/2 + 1 points the elimination
+        needs, and has no early exit: it ranks every row at once
+        (_quadratic_ranks), so a non-APN quadratic map costs as much as an
+        APN one, where a row-by-row rank could stop at the first row of
+        lower rank;
+      - any other f scans, up to SCAN_MAX_N, and stops at the first row
+        whose q/2 pair values are not all distinct (a count above 2).  It
+        reads row 1 first, which usually decides and always leads its
+        class, so a non-APN f stops before the classes are built; an f
+        whose row 1 passes then reads one row per other class
+        (_row_classes), as diff_spectrum does, not all q - 1.
+    The power and quadratic paths build no value table.
     """
     half = f.ctx.order // 2
     path = _spectrum_path(f)
@@ -486,7 +524,12 @@ def is_apn(f: UniPoly) -> bool:
         return _power_row(f.ctx, *_phi_exponents(f))[-1][0] == 2
     if path == "quadratic":
         return _quadratic_ranks(f).count(f.ctx.n - 1) == f.ctx.order - 1
-    rows = _pair_differences(f.value_table(), range(1, f.ctx.order))
+
+    def leaders():
+        yield 1
+        yield from (a for a, _ in _row_classes(f)[1:])
+
+    rows = _pair_differences(f.value_table(), leaders())
     return all(len(set(values)) == half for _, values in rows)
 
 
@@ -640,11 +683,11 @@ def projective_point_count(f: UniPoly) -> int:
     none when e = 3 (phi_3 = 1); when e is the only such exponent,
     phi_f = c_e phi_e, so affine(x^e) is f's own affine count.  The square
     sums follow diff_spectrum's paths (_square_sum), so x^e reads one x per
-    Frobenius orbit, a scanned g reads one row per class of a, counts each
-    pair {x, x + a} once and builds no per-row histogram.  The plane and
-    line counts have closed forms on the power and quadratic paths
-    (_plane_and_line), so those build no value table; only a scanned g
-    builds the tables of g' and the line polynomial.  The paths' caps are
+    orbit of x -> x^2 and x -> x + 1, a scanned g reads one row per class
+    of a, counts each pair {x, x + a} once and builds no per-row histogram.
+    The plane and line counts have closed forms on the power and quadratic
+    paths (_plane_and_line), so those build no value table; only a scanned
+    g builds the tables of g' and the line polynomial.  The paths' caps are
     the count's caps: an f over them is refused before any table is built.
     If no exponent reaches phi_f (f is affine), phi_f = 0 and every point counts.
     """

@@ -266,17 +266,31 @@ def log_tables(ctx: FieldCtx) -> tuple[list[int], list[int]]:
 
     exp[i] = g^i for 0 <= i < q - 1 and log[exp[i]] = i, g the smallest
     generator of the multiplicative group; log[0] is a placeholder, since 0
-    has no logarithm.  Cached per context (the 16 most recent), so a field
-    pays for its tables once and only if asked; callers must not modify them.
+    has no logarithm.  Each step multiplies by g through two tables of
+    2^ceil(n/2) entries, not bit-serially.  Cached per context (the 16 most
+    recent), so a field pays for its tables once and only if asked; callers
+    must not modify them.
     Larger fields raise ValueError: every library caller refuses them first.
     """
     if ctx.n > LOG_TABLE_MAX_N:
         raise ValueError(f"log tables are built for n <= {LOG_TABLE_MAX_N}, got {ctx.n}")
     m = ctx.order - 1
     g = next(a for a in range(1, ctx.order) if ctx.element_order(a) == m)
+    # v -> g v is GF(2)-linear, so g v = low[v & mask] ^ high[v >> h]: g
+    # times the low h bits of v and g times the rest, each spanned from g x^j
+    h = (ctx.n + 1) // 2
+    low, high, gx = [0], [0], g
+    for table in (low, high):
+        for _ in range(h):
+            table += [t ^ gx for t in table]
+            gx <<= 1
+            if gx >> ctx.n:
+                gx ^= ctx.modulus
+    mask = (1 << h) - 1
     exp = [1] * m
+    v = 1
     for i in range(1, m):
-        exp[i] = ctx.mul(exp[i - 1], g)
+        v = exp[i] = low[v & mask] ^ high[v >> h]
     log = [0] * ctx.order
     for i, v in enumerate(exp):
         log[v] = i

@@ -11,6 +11,7 @@ the one place that drops zeros.
 from __future__ import annotations
 
 import re
+from operator import xor
 
 from .field import FieldCtx, log_tables
 
@@ -79,6 +80,57 @@ class _SparsePoly:
         return f"{type(self).__name__}(GF(2^{self.ctx.n}), {self.render()})"
 
 
+def _exp_progression(exp: list[int], start: int, step: int) -> list[int]:
+    """[exp[(start + step i) mod m] for i in range(m)], m = len(exp), 0 < step < m.
+
+    One strided slice per wrap past an end of exp: about step of them
+    walking up, or about m - step walking down by m - step when that is
+    fewer.
+    """
+    m = len(exp)
+    if 2 * step > m:
+        step -= m  # walk down
+    out: list[int] = []
+    while len(out) < m:
+        run = exp[start::step]
+        out += run
+        start = (start + step * len(run)) % m
+    del out[m:]
+    return out
+
+
+def _walk_reach(m: int) -> int:
+    """The largest min(s, m - s) whose term value_table walks, m = q - 1.
+
+    A walk costs about one strided slice per wrap plus a pass over the list,
+    against one indexed multiply per element on the per-element path.  On
+    CPython 3.11 (x86_64) the two break even near min(s, m - s) = m / 4 for
+    n >= 9 and nearer m / 6 at n = 7, 8, and the walk never wins at n <= 6,
+    where the per-call overhead dominates.  (m - 64) / 8 keeps every walked
+    term at least 10% faster and walks none below n = 7.
+    """
+    return (m - 64) // 8
+
+
+def _xor_at_logs(
+    values: list[int] | None, terms, logs: list[int], tables: tuple[list[int], list[int]]
+) -> list[int] | None:
+    """values XOR the terms c x^e, e > 0, at the x with log x in logs, in that
+    order: exp[(log c + e log x) mod (q - 1)] per point.  The first term fills
+    the list when values is None, and every later one is XORed into it; a
+    constant (e = 0) in terms is skipped."""
+    exp, log = tables
+    m = len(exp)
+    for e, c in terms:
+        if e:
+            lc, step = log[c], e % m
+            if values is None:
+                values = [exp[(lc + step * lx) % m] for lx in logs]
+            else:
+                values = [v ^ exp[(lc + step * lx) % m] for v, lx in zip(values, logs)]
+    return values
+
+
 class UniPoly(_SparsePoly):
     """Univariate polynomial; terms maps degree to nonzero coefficient."""
 
@@ -104,31 +156,47 @@ class UniPoly(_SparsePoly):
     def value_table(self) -> list[int]:
         """[f(0), f(1), ..., f(q - 1)], the values at every element.
 
-        0^0 = 1 keeps the constant term at x = 0; the nonzero x go through
-        _values_at_logs (n <= LOG_TABLE_MAX_N, or ValueError).
+        0^0 = 1 keeps the constant term at x = 0.  At x = g^i, g the
+        generator of the log tables (n <= LOG_TABLE_MAX_N, or ValueError), a
+        term c x^e is exp[(log c + s i) mod (q - 1)], s = e mod (q - 1): in
+        log order an arithmetic progression of indices into exp, which
+        _exp_progression reads in about min(s, q - 1 - s) strided slices.
+        The terms with min(s, q - 1 - s) <= _walk_reach(q - 1), whose walk is
+        short, are XORed in log order and put in x order once; terms with
+        s = 0 are the constant they take at every x != 0; every other term
+        is read per element in x order (_xor_at_logs, the kernel of
+        _values_at_logs) and XORed in after.
         """
-        exp, log = log_tables(self.ctx)
-        return [self.terms.get(0, 0)] + self._values_at_logs(log[1:], (exp, log))
+        tables = exp, log = log_tables(self.ctx)
+        m = len(exp)
+        reach = _walk_reach(m)
+        const, walked, slow = 0, None, []
+        for e, c in self.terms.items():
+            s = e % m
+            if not s:
+                const ^= c  # x^e = 1 at every x != 0
+            elif s <= reach or m - s <= reach:
+                term = _exp_progression(exp, log[c], s)
+                walked = term if walked is None else list(map(xor, walked, term))
+            else:
+                slow.append((e, c))
+        logs = log[1:]
+        values = [const] * m if const else None
+        if walked is not None:
+            ordered = map(walked.__getitem__, logs)
+            values = list(ordered) if values is None else list(map(xor, values, ordered))
+        values = _xor_at_logs(values, slow, logs, tables)
+        return [self.terms.get(0, 0)] + (values or [0] * m)
 
     def _values_at_logs(self, logs: list[int], tables: tuple[list[int], list[int]]) -> list[int]:
         """f at the nonzero points x with log x in logs, in that order.
 
         Each term c x^e is exp[(log c + e log x) mod (q - 1)], from the
-        field's (exp, log) tables (field.log_tables).  The first such term
-        fills the list unless a constant already has, and every later one is
-        XORed into it.
+        field's (exp, log) tables (field.log_tables).
         """
-        exp, log = tables
-        m = self.ctx.order - 1
         const = self.terms.get(0, 0)
         values = [const] * len(logs) if const else None
-        for e, c in self.terms.items():
-            if e:
-                lc, step = log[c], e % m
-                if values is None:
-                    values = [exp[(lc + step * lx) % m] for lx in logs]
-                else:
-                    values = [v ^ exp[(lc + step * lx) % m] for v, lx in zip(values, logs)]
+        values = _xor_at_logs(values, self.terms.items(), logs, tables)
         return [0] * len(logs) if values is None else values
 
     def render(self) -> str:

@@ -1,11 +1,15 @@
 import itertools
+import json
 import math
 import multiprocessing
 import operator
 import os
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +32,7 @@ from apnforge.ddt import (
     projective_point_count,
     prop1_check,
 )
-from apnforge.field import FieldCtx, create_field, prime_factors
+from apnforge.field import FieldCtx, create_field, log_tables, prime_factors
 from apnforge.phi import build_phi
 from apnforge.poly import DEGREE_CAP, ConstraintViolated, TriPoly, UniPoly
 
@@ -764,6 +768,103 @@ def test_power_row_matches_value_table_row():
             seen["beyond q"] += d >= q
             seen["multiple of q - 1"] += d % m == 0 and n > 1
             seen["F vanishes off 0, 1"] += d % m != 0 and zeros > 0
+    assert min(seen.values()) >= 20, seen
+
+
+def _count_rows_read(monkeypatch) -> list[int]:
+    """Patch _pair_differences so each row it yields appends its a to the returned list."""
+    read: list[int] = []
+    pair_differences = ddt_module._pair_differences
+
+    def counting(fv, a_list):
+        for a, values in pair_differences(fv, a_list):
+            read.append(a)
+            yield a, values
+
+    monkeypatch.setattr(ddt_module, "_pair_differences", counting)
+    return read
+
+
+@pytest.mark.parametrize(
+    "terms, classes",
+    [({201: 0x31, 39: 0xA8}, 23), ({228: 0xB0, 78: 0x36}, 9)],
+)
+def test_is_apn_scan_reads_one_row_per_class(monkeypatch, terms, classes):
+    # two APN binomials over GF(2^8) on the scan path: row 1 first, then
+    # one row per other class, not q - 1 rows
+    f = UniPoly(create_field(8), terms)
+    assert _spectrum_path(f) == "scan"
+    assert diff_spectrum(f).is_apn()
+    leaders = [a for a, _ in ddt_module._row_classes(f)]
+    assert len(leaders) == classes and leaders[0] == 1
+    read = _count_rows_read(monkeypatch)
+    assert is_apn(f)
+    assert read == leaders
+
+
+def test_is_apn_scan_failing_row_1_builds_no_classes(monkeypatch):
+    def no_classes(f):
+        raise AssertionError("built the row classes after row 1 failed")
+
+    f = UniPoly(create_field(8), {7: 0x1D, 3: 0x5C, 5: 1})
+    assert _spectrum_path(f) == "scan"
+    read = _count_rows_read(monkeypatch)
+    monkeypatch.setattr(ddt_module, "_row_classes", no_classes)
+    assert not is_apn(f)
+    assert read == [1]
+
+
+def test_import_builds_no_table():
+    # the tables are built on first use, never at import: a fresh
+    # interpreter that imports apnforge holds none of them
+    code = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(Path(ddt_module.__file__).parents[1])!r})\n"
+        "import apnforge, apnforge.cli\n"
+        "from apnforge import ddt, field\n"
+        "caches = [field.log_tables, ddt._cyclotomic_canon, ddt._bit_masks, ddt._orbit_pairs]\n"
+        "print(json.dumps([c.cache_info().currsize for c in caches]))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert json.loads(out) == [0, 0, 0, 0]
+
+
+def test_orbit_pairs_cover_the_field_and_match_value_table_row():
+    # one x per orbit of x -> x^2 and x -> x + 1: the orbits cover every
+    # x != 0, 1 once, each read at the coset with the smaller rep, and row 1
+    # from them matches the value-table row; the cases drawn must include
+    # self-paired cosets (x + 1 in C(x)), short cosets and gcd(d, q - 1) > 1
+    rng = random.Random(23)
+    seen: Counter = Counter()
+    for n in range(1, 17):
+        ctx = create_field(n)
+        q, m = ctx.order, ctx.order - 1
+        exp, log = log_tables(ctx)
+        rep, _, short, _ = ddt_module._cyclotomic_canon(n)
+        rs, ls, weights = ddt_module._orbit_pairs(ctx)
+        split = len(rs) - len(weights)
+        rest = list(zip(rs[split:], ls[split:], weights))
+        orbits = [(r, l, 2 * n) for r, l in zip(rs[:split], ls[:split])] + rest
+        cosets = []
+        for r, l, weight in orbits:
+            assert l == log[exp[r] ^ 1] and rep[r] == r <= rep[l], (n, r)
+            size = short.get(r, n)
+            assert weight == (size if rep[l] == r else 2 * size), (n, r)
+            cosets += [r] if rep[l] == r else [r, rep[l]]
+        assert sorted(cosets) == sorted(set(rep) - {0}), n
+        assert sum(weight for _, _, weight in orbits) + 2 == q, n
+        self_paired = any(rep[l] == r for r, l, _ in rest)
+        short_read = any(r in short for r, _, _ in rest)
+        ds = {3, 5, 7, m, q + 2} | {rng.randrange(1, 4 * q) for _ in range(6 if n < 12 else 2)}
+        ds |= {p * rng.randrange(1, 20) for p in prime_factors(m)}
+        for d in sorted(e for e in ds if 0 < e <= DEGREE_CAP):
+            assert ddt_module._power_row(ctx, d) == _value_table_row(UniPoly(ctx, {d: 1})), (n, d)
+            seen["self-paired coset"] += self_paired
+            seen["short coset"] += short_read
+            seen["gcd(d, q - 1) > 1"] += math.gcd(d, m) > 1
+            seen["cases"] += 1
     assert min(seen.values()) >= 20, seen
 
 

@@ -1,11 +1,17 @@
+import math
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apnforge.field import create_field
+from apnforge.field import create_field, log_tables, prime_factors
 from apnforge.phi import numerator_surface
 from apnforge.poly import (
     DEGREE_CAP,
+    _exp_progression,
+    _walk_reach,
     NotDivisible,
     PolyParseError,
     TriPoly,
@@ -394,3 +400,54 @@ def test_tripoly_accepts_bool_and_capped_keys():
 def test_tripoly_render_graded_lex():
     p = TriPoly(F8, {(0, 0, 2): 1, (1, 1, 0): 1, (2, 0, 0): 1, (0, 0, 0): 1})
     assert p.render() == "x^2+x*y+z^2+1"
+
+
+def test_value_table_walks_match_evaluate():
+    # every walk regime against bit-serial evaluate: s = e mod (q - 1) at
+    # 0, +-1, small, on both sides of (q - 1) / 2 and near (q - 1) / 3, e
+    # sharing a factor with q - 1, e >= q, constants, and terms that walk
+    # mixed with terms read per element; the whole field up to n = 7,
+    # sampled x above (plus every x, against the progression, for the walk)
+    rng = random.Random(23)
+    seen: Counter = Counter()
+    for n in range(1, 13):
+        ctx = create_field(n)
+        q, m = ctx.order, ctx.order - 1
+        exp, log = log_tables(ctx)
+        reach = _walk_reach(m)
+        half, third = m // 2, m // 3
+        steps = {0, 1, 2, 3, m - 1, m - 2, half - 1, half, half + 1, half + 2, third, third + 1}
+        steps |= {max(reach, 0), max(reach, 0) + 1, m - max(reach, 0), m - max(reach, 0) - 1}
+        steps = sorted({s % m for s in steps})
+        exponents = [s + k * m for s in steps for k in (0, 2)]
+        exponents += [p * k for p in prime_factors(m) for k in (1, 7)]
+        exponents = [e for e in exponents if e <= DEGREE_CAP]
+        xs = range(q) if n <= 7 else [0, 1, q - 1] + rng.sample(range(2, q - 1), 120)
+        for s in filter(None, steps):
+            lc = rng.randrange(m)
+            walked = _exp_progression(exp, lc, s)
+            assert walked == [exp[(lc + s * i) % m] for i in range(m)], (n, s)
+        cases = [{e: rng.randrange(1, q)} for e in exponents]
+        for _ in range(10):
+            terms = {e: rng.randrange(1, q) for e in rng.sample(exponents, min(3, len(exponents)))}
+            if rng.random() < 0.5:
+                terms[0] = rng.randrange(1, q)
+            cases.append(terms)
+        for terms in cases:
+            f = UniPoly(ctx, terms)
+            table = f.value_table()
+            assert len(table) == q
+            assert [table[x] for x in xs] == [f.evaluate(x) for x in xs], (n, terms)
+            kinds = {
+                "walk" if 0 < min(e % m, m - e % m) <= reach else "per element"
+                for e in terms if e % m
+            }
+            seen["walk"] += "walk" in kinds
+            seen["per element"] += "per element" in kinds
+            seen["walk and per element"] += len(kinds) == 2
+            seen["walk down"] += any(0 < m - e % m <= reach < e % m for e in terms)
+            seen["gcd(e, q - 1) > 1"] += any(e and math.gcd(e, m) > 1 for e in terms) and m > 1
+            seen["e >= q"] += max(terms, default=0) >= q
+            seen["constant"] += 0 in terms
+            seen["e = 0 mod q - 1, e > 0"] += any(e and e % m == 0 for e in terms)
+    assert min(seen.values()) >= 10 and len(seen) == 8, seen

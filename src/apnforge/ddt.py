@@ -13,8 +13,8 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, groupby, repeat
-from operator import lshift, mul, xor
+from itertools import combinations, groupby
+from operator import xor
 
 from .field import LOG_TABLE_MAX_N, FieldCtx, _gf2_kernel, create_field, log_tables
 from .poly import DEGREE_CAP, ConstraintViolated, UniPoly
@@ -129,7 +129,6 @@ def _pair_differences(fv: list[int], a_list):
     is twice the number of values equal to b.  Each run of consecutive a
     with the same t shares the two halves of fv that _group_halves builds
     when its first row is drawn, so an early exit builds no later run.
-    A caller that tags fv[x] with x << n gets values tagged with a << n.
     """
     q = len(fv)
     block = 1 << ((q.bit_length() - 1) // 2)  # about sqrt(q/2)
@@ -274,14 +273,12 @@ def _row_classes(f: UniPoly) -> list[tuple[int, int]]:
     has a length l below n, the shifts by multiples of l also fix rep[L_2],
     so such an a takes the least of its n / l turns: then keys are equal
     exactly when the vectors are related by a power of 2.  Only those a are
-    turned, one pass per coset length.  One such term gives one class of
-    q - 1 rows.
+    turned, one pass per coset length.  f is a scan-path input, so at least
+    two of its exponents reach phi_f.
     """
     ctx = f.ctx
     m = ctx.order - 1
     terms = [(e, f.terms[e]) for e in _phi_exponents(f)]
-    if len(terms) < 2:
-        return [(1, m)]
     _, log = log_tables(ctx)
     rep, shift, short, _ = _cyclotomic_canon(ctx.n)
     logs = log[1:]  # log a for a = 1 .. q - 1
@@ -574,95 +571,62 @@ def corollary_bound(d: int, q: int) -> int:
     return 4 * ((d - 3) * q + 1)
 
 
-def _sum_of_squares(pairs: Counter) -> int:
-    return sum(map(mul, pairs.values(), pairs.values()))
-
-
-def _square_sum(g: UniPoly) -> int:
-    """sum of delta_g(a, b)^2 over a != 0 and every b, along diff_spectrum's path.
-
-    A row's square sum is 4 sum_b c_b^2, c_b the number of pairs {x, x + a}
-    with value b.  The power path takes q - 1 times row 1's of x^e, sum
-    delta^2 #b over its histogram (_power_row, no value table); the quadratic
-    path 2^(2n - r) for each row of rank r, counting the rows of each rank
-    in the bytes _quadratic_ranks returns, with no value table.  The scan
-    reads one row per class of a (_row_classes: row a of g has the histogram
-    of row 1 of g(a y), so the same square sum) and weighs it by the class
-    size.  It tags g(x) with x << n, so every value carries its row, and
-    counts the values of consecutive rows of equal weight in one Counter,
-    summing and emptying it once it holds q values or the weight changes, so
-    it stays O(q) and no row builds a histogram of its own.
-    """
-    ctx = g.ctx
-    q = ctx.order
-    path = _spectrum_path(g)
-    if path == "power":
-        return (q - 1) * sum(c * c * k for c, k in _power_row(ctx, *_phi_exponents(g)))
-    if path == "quadratic":
-        ranks = _quadratic_ranks(g)
-        return sum(ranks.count(r) << (2 * ctx.n - r) for r in range(ctx.n + 1))
-    weight = dict(_row_classes(g))
-    tagged = list(map(xor, g.value_table(), map(lshift, range(q), repeat(ctx.n))))
-    total, batch = 0, 0  # batch: the weight of the rows in pairs
-    pairs = Counter()
-    for a, values in _pair_differences(tagged, list(weight)):
-        if weight[a] != batch or len(pairs) >= q:
-            total += batch * _sum_of_squares(pairs)
-            pairs.clear()
-            batch = weight[a]
-        pairs.update(values)
-    return 4 * (total + batch * _sum_of_squares(pairs))
-
-
 def _affine_zero_count(g: UniPoly) -> int:
-    """Zeros of phi_g in GF(q)^3.
-
-    The rows a != 0 of g's difference table give sum delta_g(a, b)^2
-    (_square_sum), the a = 0 row adds q^2, and every point of the three
-    planes is a zero of N_g.  The plane and line counts of
-    projective_point_count have closed forms on the power and quadratic
-    paths (_plane_and_line); only the scan path builds value tables for them.
-    """
+    """Zeros of phi_g in GF(q)^3: off + 3 * plane - 2 * line, as in
+    projective_point_count, with plane = fibres + line (_affine_parts)."""
     q = g.ctx.order
-    off_planes = _square_sum(g) + q * q - (3 * q * q - 2 * q)
-    fibres, line = _plane_and_line(g)
-    plane = fibres + line
-    return off_planes + 3 * plane - 2 * line
+    squares, fibres, line = _affine_parts(g)
+    return squares + q * q - (3 * q * q - 2 * q) + 3 * fibres + line
 
 
-def _plane_and_line(g: UniPoly) -> tuple[int, int]:
-    """(sum_v m_v (m_v - 1), m_v = #{t : g'(t) = v}; zeros of the line polynomial).
+def _affine_parts(g: UniPoly) -> tuple[int, int, int]:
+    """(square sum, plane fibres, line zeros) of g, along diff_spectrum's path.
 
-    g' = sum_(j odd) c_j t^(j-1) is the formal derivative, the line
-    polynomial sum_(j = 3 mod 4) c_j t^(j-3).  Along diff_spectrum's path:
-      - power, c x^e + c_1 x + ..., e the one exponent reaching phi_g: for
-        odd e, g' = c t^(e-1) + c_1 takes c_1 only at t = 0 and is
+    The square sum is sum delta_g(a, b)^2 over a != 0 and every b, the
+    plane fibres sum_v m_v (m_v - 1), m_v = #{t : g'(t) = v}, g' =
+    sum_(j odd) c_j t^(j-1) the formal derivative, and the line zeros those
+    of the line polynomial sum_(j = 3 mod 4) c_j t^(j-3).  One path gives
+    all three:
+      - power, c x^e + c_1 x + ..., e the one exponent reaching phi_g: every
+        row has the histogram of row 1 of x^e (_power_row, no value table).
+        For odd e, g' = c t^(e-1) + c_1 takes c_1 only at t = 0 and is
         gcd(e - 1, q - 1)-to-1 on the rest; for even e, g' = c_1.  The
-        line polynomial is c t^(e-3)
-        when e = 3 mod 4, with no zero when e = 3 and only t = 0 when
-        e > 3, and 0 otherwise;
-      - quadratic: g' = c_1 + sum c_(2^i+1) t^(2^i) is a constant plus a
-        GF(2)-linear map, so every value it takes has 2^k preimages, k the
-        kernel dimension of its images of the n basis points; 3 is the
-        only weight-2 exponent = 3 mod 4, so the line polynomial is c_3;
-      - scan: g' and the line polynomial from their value tables.
+        line polynomial is c t^(e-3) when e = 3 mod 4, with no zero when
+        e = 3 and only t = 0 when e > 3, and 0 otherwise;
+      - quadratic: a row of rank r (_quadratic_ranks) adds 2^(2n - r).
+        g' = c_1 + sum c_(2^i+1) t^(2^i) is a constant plus a GF(2)-linear
+        map, so every value it takes has 2^k preimages, k the kernel
+        dimension of its images of the n basis points; 3 is the only
+        weight-2 exponent = 3 mod 4, so the line polynomial is c_3.  No
+        value table;
+      - scan: one row per class of a (_row_classes: row a of g has the
+        histogram of row 1 of g(a y), so the same square sum), read from its
+        q/2 pairs {x, x + a} (_pair_differences) and weighed by the class
+        size; g' and the line polynomial from their value tables.
     """
     ctx, terms = g.ctx, g.terms
-    q = ctx.order
+    n, q = ctx.n, ctx.order
     path = _spectrum_path(g)
     if path == "power":
         (e,) = _phi_exponents(g)
+        squares = (q - 1) * sum(c * c * k for c, k in _power_row(ctx, e))
         fibres = (q - 1) * (math.gcd(e - 1, q - 1) - 1) if e % 2 else q * (q - 1)
-        return fibres, q if e % 4 != 3 else int(e > 3)
+        return squares, fibres, q if e % 4 != 3 else int(e > 3)
     if path == "quadratic":
+        ranks = _quadratic_ranks(g)
+        squares = sum(ranks.count(r) << (2 * n - r) for r in range(n + 1))
         _, log = tables = log_tables(ctx)
         linear = UniPoly(ctx, {j - 1: c for j, c in terms.items() if j % 2 and j > 1})
-        images = linear._values_at_logs([log[1 << i] for i in range(ctx.n)], tables)
-        return q * ((1 << len(_gf2_kernel(images))) - 1), 0 if 3 in terms else q
-    line = UniPoly(ctx, {j - 3: c for j, c in terms.items() if j % 4 == 3}).value_table().count(0)
+        images = linear._values_at_logs([log[1 << i] for i in range(n)], tables)
+        return squares, q * ((1 << len(_gf2_kernel(images))) - 1), 0 if 3 in terms else q
+    weight = dict(_row_classes(g))
+    squares = 0  # delta_g(a, b) is twice c, the number of pairs {x, x + a} with value b
+    for a, values in _pair_differences(g.value_table(), list(weight)):
+        squares += 4 * weight[a] * sum(c * c for c in Counter(values).values())
     derivative = UniPoly(ctx, {j - 1: c for j, c in terms.items() if j % 2})
-    fibres = Counter(derivative.value_table()).values()
-    return sum(m * (m - 1) for m in fibres), line
+    fibres = sum(m * (m - 1) for m in Counter(derivative.value_table()).values())
+    line = UniPoly(ctx, {j - 3: c for j, c in terms.items() if j % 4 == 3}).value_table().count(0)
+    return squares, fibres, line
 
 
 def projective_point_count(f: UniPoly) -> int:
@@ -682,13 +646,9 @@ def projective_point_count(f: UniPoly) -> int:
     origin, so the points at infinity number (affine(x^e) - 1) / (q - 1),
     none when e = 3 (phi_3 = 1); when e is the only such exponent,
     phi_f = c_e phi_e, so affine(x^e) is f's own affine count.  The square
-    sums follow diff_spectrum's paths (_square_sum), so x^e reads one x per
-    orbit of x -> x^2 and x -> x + 1, a scanned g reads one row per class
-    of a, counts each pair {x, x + a} once and builds no per-row histogram.
-    The plane and line counts have closed forms on the power and quadratic
-    paths (_plane_and_line), so those build no value table; only a scanned
-    g builds the tables of g' and the line polynomial.  The paths' caps are
-    the count's caps: an f over them is refused before any table is built.
+    sum, plane and line counts come from _affine_parts, along one
+    diff_spectrum path per affine count; their caps are the count's caps, so
+    an f over them is refused before any table is built.
     If no exponent reaches phi_f (f is affine), phi_f = 0 and every point counts.
     """
     ctx = f.ctx

@@ -326,7 +326,7 @@ def test_quadratic_paths_build_no_value_table(monkeypatch, n, terms, rows, apn, 
     start = time.perf_counter()
     spectrum = diff_spectrum(f)
     assert is_apn(f) is apn
-    assert ddt_module._square_sum(f) == square_sum
+    assert ddt_module._affine_parts(f)[0] == square_sum
     # 1.4-1.8 s at n = 20 on a 2-core x86_64 host, log tables included;
     # about 5 s when each call built the whole value table
     assert time.perf_counter() - start < 4.0
@@ -423,10 +423,24 @@ def _oracle_square_sum(g: UniPoly) -> int:
     return sum(c * c for row in _oracle_rows(g).values() for c in row.values())
 
 
+def _oracle_plane_and_line(g: UniPoly) -> tuple[int, int]:
+    """projective_point_count's plane and line counts from g' and the line
+    polynomial evaluated at every t."""
+    ctx, field = g.ctx, range(g.ctx.order)
+    derivative = UniPoly(ctx, {j - 1: c for j, c in g.terms.items() if j % 2})
+    line = UniPoly(ctx, {j - 3: c for j, c in g.terms.items() if j % 4 == 3})
+    fibres = Counter(derivative.evaluate(t) for t in field).values()
+    return sum(k * (k - 1) for k in fibres), sum(line.evaluate(t) == 0 for t in field)
+
+
+def _oracle_affine_parts(g: UniPoly) -> tuple[int, int, int]:
+    return _oracle_square_sum(g), *_oracle_plane_and_line(g)
+
+
 def _check_against_oracle(f: UniPoly, monkeypatch):
     """The row classes, the full table, is_apn and the point count agree
     with the per-element oracle; the point count is recomputed with the
-    oracle's square sum in place of the kernel's."""
+    oracle's square sum, plane and line counts in place of the kernel's."""
     q = f.ctx.order
     rows = _oracle_rows(f)
     hists = Counter(_row_histogram(row, q) for row in rows.values())
@@ -437,7 +451,7 @@ def _check_against_oracle(f: UniPoly, monkeypatch):
     assert is_apn(f) == apn, f
     points = projective_point_count(f)
     with monkeypatch.context() as patch:
-        patch.setattr(ddt_module, "_square_sum", _oracle_square_sum)
+        patch.setattr(ddt_module, "_affine_parts", _oracle_affine_parts)
         assert projective_point_count(f) == points, f
 
 
@@ -488,25 +502,7 @@ def test_square_sum_matches_oracle():
         cases.append(UniPoly(ctx, {5: ctx.order - 1, 3: 1, 1: 1, 0: 1}))  # quadratic
         cases += _seeded_polys(rng, n, 4)  # scan
         for g in cases:
-            assert ddt_module._square_sum(g) == _oracle_square_sum(g), g
-
-
-def test_square_sum_counter_stays_within_q(monkeypatch):
-    # the shared Counter is emptied once it holds q values, and the sums
-    # taken before each emptying are kept
-    sizes = []
-
-    class Recording(Counter):
-        def update(self, *args, **kwargs):
-            super().update(*args, **kwargs)
-            sizes.append(len(self))
-
-    monkeypatch.setattr(ddt_module, "Counter", Recording)
-    g = UniPoly(create_field(8), {9: 1, 7: 1})
-    q = g.ctx.order
-    assert ddt_module._square_sum(g) == _oracle_square_sum(g)
-    assert max(sizes) >= q  # the bound is reached
-    assert max(sizes) < q + q // 2  # one row of q/2 values past it at most
+            assert ddt_module._affine_parts(g)[0] == _oracle_square_sum(g), g
 
 
 def test_a_missing_row_is_caught(monkeypatch):
@@ -550,20 +546,50 @@ def test_row_classes_match_the_all_rows_scan():
         for f in _class_cases(rng, n):
             full = diff_spectrum(f, full=True)
             assert diff_spectrum(f).rows == full.rows, f
-            assert ddt_module._square_sum(f) == sum(
+            assert ddt_module._affine_parts(f)[0] == sum(
                 c * c for row in full.table.values() for c in row.values()
             ), f
             scanned += _spectrum_path(f) == "scan"
     assert scanned >= 80
 
 
+def test_scan_square_sums_above_n9_match_the_spectrum():
+    # the oracle tests stop at n = 9; above it the square sum is checked
+    # against the spectrum's rows, and one binomial against its full table
+    rng = random.Random(40)
+    cases = []
+    for n in (10, 11, 12):
+        q = 1 << n
+        cases.append(UniPoly(create_field(n), {9: rng.randrange(1, q), 7: rng.randrange(1, q)}))
+    ctx = create_field(12)
+    gf4 = [c for c in ctx.subfield_elements(2) if c]
+    cases.append(UniPoly(ctx, {e: rng.choice(gf4) for e in (13, 11, 5)}))
+    cases.append(UniPoly(create_field(10), {13: 100, 11: 9, 5: 7, 1: 3}))  # generic
+    for g in cases:
+        assert _spectrum_path(g) == "scan", g
+        rows = diff_spectrum(g).rows
+        square_sum = sum(size * sum(c * c * m for c, m in hist) for hist, size in rows.items())
+        assert ddt_module._affine_parts(g)[0] == square_sum, g
+    table = diff_spectrum(cases[0], full=True).table
+    assert ddt_module._affine_parts(cases[0])[0] == sum(
+        c * c for row in table.values() for c in row.values()
+    )
+
+
 def test_row_classes_cover_every_difference_once():
+    # _row_classes serves the scan, whose inputs have two or more exponents
+    # reaching phi_f
     rng = random.Random(19)
+    scanned = 0
     for n in range(1, 10):
         for f in _class_cases(rng, n):
+            if _spectrum_path(f) != "scan":
+                continue
             classes = ddt_module._row_classes(f)
             assert sum(size for _, size in classes) == f.ctx.order - 1, f
             assert [a for a, _ in classes] == sorted({a for a, _ in classes}), f
+            scanned += 1
+    assert scanned >= 80
 
 
 def _cyclotomic_coset_count(n: int) -> int:
@@ -868,16 +894,6 @@ def test_orbit_pairs_cover_the_field_and_match_value_table_row():
     assert min(seen.values()) >= 20, seen
 
 
-def _oracle_plane_and_line(g: UniPoly) -> tuple[int, int]:
-    """projective_point_count's plane and line counts from g' and the line
-    polynomial evaluated at every t."""
-    ctx, field = g.ctx, range(g.ctx.order)
-    derivative = UniPoly(ctx, {j - 1: c for j, c in g.terms.items() if j % 2})
-    line = UniPoly(ctx, {j - 3: c for j, c in g.terms.items() if j % 4 == 3})
-    fibres = Counter(derivative.evaluate(t) for t in field).values()
-    return sum(k * (k - 1) for k in fibres), sum(line.evaluate(t) == 0 for t in field)
-
-
 def test_closed_form_point_count_matches_oracle(monkeypatch):
     # the closed plane and line counts against g' and the line polynomial at
     # every t, with the square sums from the per-element oracle
@@ -897,7 +913,7 @@ def test_closed_form_point_count_matches_oracle(monkeypatch):
         for g in cases:
             path = _spectrum_path(g)
             fibres, line = _oracle_plane_and_line(g)
-            assert ddt_module._plane_and_line(g) == (fibres, line), g
+            assert ddt_module._affine_parts(g)[1:] == (fibres, line), g
             e = max((j for j in g.terms if j & (j - 1)), default=0)  # the power exponent
             seen["power, gcd(e - 1, q - 1) > 1"] += (
                 path == "power" and e % 2 == 1 and math.gcd(e - 1, q - 1) > 1
@@ -905,8 +921,7 @@ def test_closed_form_point_count_matches_oracle(monkeypatch):
             seen["quadratic, k >= 1"] += path == "quadratic" and fibres > 0
             count = projective_point_count(g)
             with monkeypatch.context() as patch:
-                patch.setattr(ddt_module, "_square_sum", _oracle_square_sum)
-                patch.setattr(ddt_module, "_plane_and_line", _oracle_plane_and_line)
+                patch.setattr(ddt_module, "_affine_parts", _oracle_affine_parts)
                 assert projective_point_count(g) == count, g
     assert min(seen.values()) >= 5, seen
 
@@ -938,7 +953,7 @@ def test_power_and_quadratic_paths_build_no_value_table(
     assert _spectrum_path(f) in ("power", "quadratic")
     assert diff_spectrum(f).histogram() == histogram
     assert is_apn(f) is apn
-    assert ddt_module._square_sum(f) == square_sum
+    assert ddt_module._affine_parts(f)[0] == square_sum
     assert projective_point_count(f) == points
 
 
@@ -952,7 +967,7 @@ def test_power_map_at_n20_builds_no_value_table(monkeypatch):
     start = time.perf_counter()
     spectrum = diff_spectrum(f)
     apn = is_apn(f)
-    square_sum = ddt_module._square_sum(f)
+    square_sum = ddt_module._affine_parts(f)[0]
     points = projective_point_count(f)
     # about 1.5 s on a 2-core x86_64 host, log tables and coset table included
     assert time.perf_counter() - start < 4.0
@@ -1195,12 +1210,13 @@ def test_affine_terms_change_no_answer_on_any_path(n, monkeypatch):
         full = diff_spectrum(g, full=True)
         assert diff_spectrum(g).rows == full.rows == diff_spectrum(f).rows, g
         assert is_apn(g) == full.is_apn() == is_apn(f), g
-        assert ddt_module._square_sum(g) == full_square_sum(g) == ddt_module._square_sum(f), g
+        assert ddt_module._affine_parts(g)[0] == full_square_sum(g) == ddt_module._affine_parts(f)[0], g
         count = projective_point_count(g)
         assert count == projective_point_count(f), g
         with monkeypatch.context() as patch:
-            patch.setattr(ddt_module, "_square_sum", full_square_sum)
-            patch.setattr(ddt_module, "_plane_and_line", _oracle_plane_and_line)
+            patch.setattr(
+                ddt_module, "_affine_parts", lambda h: (full_square_sum(h), *_oracle_plane_and_line(h))
+            )
             assert projective_point_count(g) == count, g
 
 

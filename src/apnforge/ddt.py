@@ -327,8 +327,29 @@ def _bit_masks(n: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
-def _quadratic_ranks(f: UniPoly) -> bytes:
-    """Ranks of x -> B(x, a) = f(x+a) + f(x) + f(a) + f(0): byte a - 1 for a = 1 .. q - 1.
+def _bilinear_form(f: UniPoly) -> list[list[int]]:
+    """form[i][j] = B(e_i, e_j), B(x, a) = f(x+a) + f(x) + f(a) + f(0), e_i = 2^i.
+
+    f is evaluated only at the n(n+1)/2 + 1 points 0, e_i and e_i + e_j,
+    through the field's log tables (UniPoly._values_at_logs), so no q-entry
+    value table is built.  B(x, x) = 0, so the diagonal is 0.
+    """
+    n = f.ctx.n
+    tables = log_tables(f.ctx)
+    _, log = tables
+    pairs = list(combinations(range(n), 2))
+    points = [1 << i for i in range(n)] + [(1 << i) | (1 << j) for i, j in pairs]
+    values = f._values_at_logs([log[x] for x in points], tables)
+    f0 = f.terms.get(0, 0)  # f(0), since 0^0 = 1
+    shift = [v ^ f0 for v in values[:n]]
+    form = [[0] * n for _ in range(n)]
+    for (i, j), v in zip(pairs, values[n:]):
+        form[i][j] = form[j][i] = v ^ shift[i] ^ shift[j] ^ f0
+    return form
+
+
+def _quadratic_ranks(form: list[list[int]]) -> bytes:
+    """Ranks of x -> B(x, a): byte a - 1 for a = 1 .. q - 1, form = _bilinear_form(f).
 
     B is GF(2)-bilinear when every exponent of f has binary weight <= 2.  So
     bit k of B(e_i, a), e_i = 2^i, is the parity of a & w_ik, w_ik the set
@@ -343,22 +364,11 @@ def _quadratic_ranks(f: UniPoly) -> bytes:
       - alive: the a where the vector being inserted is not yet placed, the
         only a where it is read.
     rank(a) is the number of pivot masks that contain a, summed in byte
-    lanes.  O(n^3) big-int operations; f is evaluated only at the
-    n(n+1)/2 + 1 points 0, e_i and e_i + e_j, through the field's log tables
-    (UniPoly._values_at_logs), so no q-entry value table is built.
+    lanes.  O(n^3) big-int operations.
     """
-    n, q = f.ctx.n, f.ctx.order
-    tables = log_tables(f.ctx)
-    _, log = tables
-    pairs = list(combinations(range(n), 2))
-    points = [1 << i for i in range(n)] + [(1 << i) | (1 << j) for i, j in pairs]
-    values = f._values_at_logs([log[x] for x in points], tables)
-    f0 = f.terms.get(0, 0)  # f(0), since 0^0 = 1
+    n = len(form)
+    q = 1 << n
     masks = _bit_masks(n)
-    shift = [v ^ f0 for v in values[:n]]
-    form = [[0] * n for _ in range(n)]  # form[i][j] = B(e_i, e_j); B(x, x) = 0
-    for (i, j), v in zip(pairs, values[n:]):
-        form[i][j] = form[j][i] = v ^ shift[i] ^ shift[j] ^ f0
     pivots = [0] * n
     basis: list[list[int]] = [[] for _ in range(n)]
     for row in form:
@@ -390,6 +400,45 @@ def _quadratic_ranks(f: UniPoly) -> bytes:
     lanes = sum(int.from_bytes(format(p, f"0{q}b").encode(), "big") for p in pivots)
     zeros = int.from_bytes(b"0" * q, "big")  # one "0" (0x30) per lane and mask
     return (lanes - n * zeros).to_bytes(q, "little")[1:]
+
+
+def _row_1_rank(form: list[list[int]]) -> int:
+    """Byte 0 of _quadratic_ranks(form), with no q-bit mask built.
+
+    Row 1's images are B(e_i, 1) = form[i][0], and B(1, 1) = 0, so the rank
+    is at most n - 1, and it is n - 1 exactly when the images have a
+    one-vector kernel (field._gf2_kernel).
+    """
+    return len(form) - len(_gf2_kernel([row[0] for row in form]))
+
+
+def _row_1_prefix_repeats(f: UniPoly) -> bool:
+    """Whether F(x) = f(x) + f(x + 1) repeats over the first pairs {x, x + 1}.
+
+    Each even x stands for its pair once, and a repeated value b puts two
+    pairs on b: delta_f(1, b) >= 4, so f is not APN.  The values come from
+    UniPoly._values_at_logs in blocks of pairs, the first of 2^ceil(n/2)
+    and each next one twice as long, up to min(q/4, 2^(ceil(n/2) + 3))
+    pairs in all; a non-APN row 1 usually repeats well inside that, by the
+    birthday bound.  x = 0 is read as f(0), since log 0 is a placeholder.
+    """
+    n, q = f.ctx.n, f.ctx.order
+    tables = log_tables(f.ctx)
+    _, log = tables
+    size = 1 << ((n + 1) // 2)
+    cap = min(q >> 2, size << 3)
+    seen: set[int] = set()
+    done = 0  # pairs read
+    while done < cap:
+        stop = min(done + size, cap)
+        values = f._values_at_logs(log[2 * done:2 * stop], tables)
+        if not done:
+            values[0] = f.terms.get(0, 0)  # f(0), since 0^0 = 1
+        seen.update(map(xor, values[::2], values[1::2]))
+        if len(seen) < stop:
+            return True
+        done, size = stop, 2 * size
+    return False
 
 
 def _spectrum_path(f: UniPoly, full: bool = False) -> str:
@@ -446,7 +495,7 @@ def diff_spectrum(f: UniPoly, full: bool = False, jobs: int = 1) -> DiffSpectrum
         map x -> f(x+a) + f(x) + f(a) + f(0); one elimination over q-bit
         masks ranks every a at once (_quadratic_ranks), in O(n^3) big-int
         operations on f's values at the n(n+1)/2 + 1 points 0, e_i and
-        e_i + e_j, with no value table;
+        e_i + e_j (_bilinear_form), with no value table;
       - scan (any other f, and every full table): a row from its q/2 pairs
         {x, x + a}, each counted once (_pair_differences), capped at
         n <= SCAN_MAX_N, and a full table at n <= FULL_MAX_N; the other
@@ -471,7 +520,7 @@ def diff_spectrum(f: UniPoly, full: bool = False, jobs: int = 1) -> DiffSpectrum
         return DiffSpectrum(ctx=ctx, poly=f, rows=Counter({hist: q - 1}))
     if path == "quadratic":
         # rank r: 2^(n-r) solutions for each of the 2^r values of the coset
-        ranks = _quadratic_ranks(f)
+        ranks = _quadratic_ranks(_bilinear_form(f))
         rows = Counter({
             ((0, q - (1 << r)), (1 << (ctx.n - r), 1 << r)): ranks.count(r)
             for r in range(ctx.n + 1)
@@ -502,25 +551,34 @@ def is_apn(f: UniPoly) -> bool:
         phi_f, has largest count 2, reading one x per orbit of x -> x^2 and
         x -> x + 1 (_power_row);
       - a quadratic map needs rank n - 1 (a kernel of dimension 1) on every
-        row.  It reads f only at the n(n+1)/2 + 1 points the elimination
-        needs, and has no early exit: it ranks every row at once
-        (_quadratic_ranks), so a non-APN quadratic map costs as much as an
-        APN one, where a row-by-row rank could stop at the first row of
-        lower rank;
+        row.  It reads f only at the n(n+1)/2 + 1 points 0, e_i and
+        e_i + e_j (_bilinear_form), and ranks row 1 first, from the images
+        of e_i alone (_row_1_rank): a lower rank makes D_1 f at least
+        4-to-1 and answers False with no q-bit mask built.  Only a row 1 of
+        rank n - 1 goes on to rank every row at once (_quadratic_ranks);
       - any other f scans, up to SCAN_MAX_N, and stops at the first row
-        whose q/2 pair values are not all distinct (a count above 2).  It
-        reads row 1 first, which usually decides and always leads its
-        class, so a non-APN f stops before the classes are built; an f
-        whose row 1 passes then reads one row per other class
-        (_row_classes), as diff_spectrum does, not all q - 1.
-    The power and quadratic paths build no value table.
+        whose q/2 pair values are not all distinct (a count above 2).
+        Before any value table it reads row 1's values at a growing prefix
+        of its pairs, at most min(q/4, 2^(ceil(n/2) + 3)) of them
+        (_row_1_prefix_repeats), and a repeated value answers False.
+        Otherwise it falls through to the full scan: the value table, row
+        1, which leads its class, then one row per other class
+        (_row_classes), as diff_spectrum does, not all q - 1, so a failing
+        row 1 still builds no classes.
+    The power and quadratic paths build no value table, and neither does a
+    scan-path f that the prefix refutes.
     """
     half = f.ctx.order // 2
     path = _spectrum_path(f)
     if path == "power":
         return _power_row(f.ctx, *_phi_exponents(f))[-1][0] == 2
     if path == "quadratic":
-        return _quadratic_ranks(f).count(f.ctx.n - 1) == f.ctx.order - 1
+        form, apn_rank = _bilinear_form(f), f.ctx.n - 1
+        if _row_1_rank(form) < apn_rank:
+            return False
+        return _quadratic_ranks(form).count(apn_rank) == f.ctx.order - 1
+    if _row_1_prefix_repeats(f):
+        return False
 
     def leaders():
         yield 1
@@ -613,7 +671,7 @@ def _affine_parts(g: UniPoly) -> tuple[int, int, int]:
         fibres = (q - 1) * (math.gcd(e - 1, q - 1) - 1) if e % 2 else q * (q - 1)
         return squares, fibres, q if e % 4 != 3 else int(e > 3)
     if path == "quadratic":
-        ranks = _quadratic_ranks(g)
+        ranks = _quadratic_ranks(_bilinear_form(g))
         squares = sum(ranks.count(r) << (2 * n - r) for r in range(n + 1))
         _, log = tables = log_tables(ctx)
         linear = UniPoly(ctx, {j - 1: c for j, c in terms.items() if j % 2 and j > 1})

@@ -209,7 +209,7 @@ def _check_against_scan(f: UniPoly, path: str):
         assert len(scan.rows) == 1, f
     if path == "quadratic":
         n, q = f.ctx.n, f.ctx.order
-        ranks = ddt_module._quadratic_ranks(f)
+        ranks = _ranks(f)
         for a, row in scan.table.items():
             r = ranks[a - 1]
             assert max(row.values()) == 1 << (n - r), (f, a)
@@ -240,6 +240,10 @@ def test_quadratic_path_matches_scan_seeded():
         f = UniPoly(create_field(n), terms)
         # additive and constant terms do not count towards a power map
         _check_against_scan(f, "power" if len([e for e in f.terms if e & (e - 1)]) == 1 else "quadratic")
+
+
+def _ranks(f: UniPoly) -> bytes:
+    return ddt_module._quadratic_ranks(ddt_module._bilinear_form(f))
 
 
 def _oracle_rank(vectors: list[int]) -> int:
@@ -293,7 +297,7 @@ def test_quadratic_ranks_match_per_row_oracle():
             expected = bytes(
                 _oracle_quadratic_rank(fv.__getitem__, n, a) for a in range(1, f.ctx.order)
             )
-            assert ddt_module._quadratic_ranks(f) == expected, f
+            assert _ranks(f) == expected, f
 
 
 @pytest.mark.parametrize("n", [15, 16, 17])
@@ -301,7 +305,7 @@ def test_quadratic_ranks_match_oracle_on_sampled_a(n):
     # above SCAN_MAX_N, where no scan can cross-check the quadratic path
     rng = random.Random(n)
     for f in _quadratic_cases(rng, n)[:3]:  # the constant, top-exponent and additive cases
-        ranks = ddt_module._quadratic_ranks(f)
+        ranks = _ranks(f)
         assert len(ranks) == f.ctx.order - 1
         for a in [1, f.ctx.order - 1] + rng.sample(range(2, f.ctx.order - 1), 100):
             assert ranks[a - 1] == _oracle_quadratic_rank(f.evaluate, n, a), (f, a)
@@ -829,15 +833,143 @@ def test_is_apn_scan_reads_one_row_per_class(monkeypatch, terms, classes):
 
 
 def test_is_apn_scan_failing_row_1_builds_no_classes(monkeypatch):
-    def no_classes(f):
-        raise AssertionError("built the row classes after row 1 failed")
+    def refuse(*args):
+        raise AssertionError("built a value table or the row classes after row 1 failed")
 
-    f = UniPoly(create_field(8), {7: 0x1D, 3: 0x5C, 5: 1})
-    assert _spectrum_path(f) == "scan"
+    ctx = create_field(8)
+    # row 1 repeats inside the prefix: no value table, no row, no class
+    f = UniPoly(ctx, {7: 0x1D, 3: 0x5C, 5: 1})
+    # row 1 first repeats at pair 64 ({128, 129}), past the prefix's
+    # q/4 = 64 pairs: the scan reads row 1 and stops there
+    g = UniPoly(ctx, {15: 4, 7: 0x72})
+    for h in (f, g):
+        assert _spectrum_path(h) == "scan"
+        assert max(_value_table_pairs(h).values()) > 1
+    assert ddt_module._row_1_prefix_repeats(f)
+    assert not ddt_module._row_1_prefix_repeats(g)
     read = _count_rows_read(monkeypatch)
-    monkeypatch.setattr(ddt_module, "_row_classes", no_classes)
-    assert not is_apn(f)
+    monkeypatch.setattr(ddt_module, "_row_classes", refuse)
+    with monkeypatch.context() as patched:
+        patched.setattr(UniPoly, "value_table", refuse)
+        assert not is_apn(f)
+    assert read == []
+    assert not is_apn(g)
     assert read == [1]
+
+
+def _oracle_cases(rng: random.Random, n: int, count: int) -> list[UniPoly]:
+    """Seeded inputs over GF(2^n), exponents below 4q: count each of one
+    exponent, two or three of binary weight 2, and two whose first has
+    weight >= 3, each with a constant and with an additive term at
+    probability 0.3; plus the Gold map x^3 + c x^(q + 2) = (1 + c) x^3,
+    which takes the quadratic path."""
+    ctx = create_field(n)
+    q = ctx.order
+    top = min(4 * q, DEGREE_CAP + 1)
+    weight_2 = [e for e in range(3, top) if e.bit_count() == 2]
+    heavy = [e for e in range(7, top) if e.bit_count() > 2]
+    supports = []
+    for _ in range(count):
+        supports.append([rng.choice(weight_2 + heavy)])
+        supports.append(rng.sample(weight_2, min(len(weight_2), rng.randint(2, 3))))
+        supports.append([rng.choice(heavy), rng.choice(weight_2 + heavy)])
+    cases = []
+    for support in supports:
+        terms = {e: rng.randrange(1, q) for e in support}
+        if rng.random() < 0.3:
+            terms[0] = rng.randrange(1, q)
+        if rng.random() < 0.3:
+            terms[1 << rng.randrange(n)] = rng.randrange(1, q)
+        cases.append(UniPoly(ctx, terms))
+    if n >= 2:
+        cases.append(UniPoly(ctx, {3: 1, q + 2: rng.randrange(2, q)}))
+    return cases
+
+
+def test_is_apn_matches_the_spectrum_on_every_path():
+    # the row-1 prefix and the row-1 rank change no answer: is_apn agrees
+    # with the spectrum, and the row-1 rank with byte 0 of the elimination
+    rng = random.Random(25)
+    seen: Counter = Counter()
+    for n in range(1, 12):
+        cases = _oracle_cases(rng, n, {10: 3, 11: 1}.get(n, 20))
+        if n == 10:
+            cases += [UniPoly(create_field(10), {3: 1, 36: u, 1: 1}) for u in (0x3F, 0x17B)]
+        for f in cases:
+            path, apn = _spectrum_path(f), is_apn(f)
+            assert apn == diff_spectrum(f).is_apn(), f
+            q = f.ctx.order
+            seen["constant"] += 0 in f.terms
+            seen["additive"] += any(e and not e & (e - 1) for e in f.terms)
+            seen["exponent >= q"] += max(f.terms) >= q
+            if path == "scan":
+                prefix = ddt_module._row_1_prefix_repeats(f)
+                assert not (prefix and apn), f
+                kind = "refuted by the prefix" if prefix else "not refuted" if not apn else "apn"
+                seen["scan, " + kind] += 1
+            elif path == "quadratic":
+                rank = ddt_module._row_1_rank(ddt_module._bilinear_form(f))
+                assert rank == _ranks(f)[0], f
+                kind = "apn" if apn else "row 1 of rank n - 1" if rank == n - 1 else "refuted at row 1"
+                seen["quadratic, " + kind] += 1
+    kinds = {
+        "scan, refuted by the prefix", "scan, not refuted", "scan, apn",
+        "quadratic, refuted at row 1", "quadratic, row 1 of rank n - 1", "quadratic, apn",
+        "constant", "additive", "exponent >= q",
+    }
+    assert kinds <= seen.keys() and min(seen[k] for k in kinds) >= 20, seen
+
+
+def test_row_1_rank_matches_the_elimination():
+    # byte 0 of the elimination over q-bit masks, and the bit-serial rank
+    rng = random.Random(12)
+    for n in range(2, 13):
+        for f in _quadratic_cases(rng, n):
+            form = ddt_module._bilinear_form(f)
+            rank = ddt_module._row_1_rank(form)
+            assert rank == ddt_module._quadratic_ranks(form)[0], f
+            assert rank == _oracle_quadratic_rank(f.evaluate, n, 1), f
+
+
+def test_row_1_refutes_a_generic_input_at_n14_without_a_value_table(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("built a q-entry value table after row 1 failed")
+
+    f = UniPoly(create_field(14), {13: 0x1A2B, 11: 0xC3D, 5: 0x2E4F, 1: 0x3A5B})
+    assert _spectrum_path(f) == "scan"
+    monkeypatch.setattr(UniPoly, "value_table", no_table)
+    assert not is_apn(f)
+
+
+def test_row_1_refutes_a_quadratic_input_at_n20_without_masks(monkeypatch):
+    def no_masks(*args):
+        raise AssertionError("ranked every row after row 1 failed")
+
+    n = 20
+    f = UniPoly(create_field(n), {5: 0xE7D81, 3: 0xB9097})
+    assert _spectrum_path(f) == "quadratic"
+    # the bit-serial oracle reads f at n + 2 points, not through the log tables
+    assert _oracle_quadratic_rank(f.evaluate, n, 1) < n - 1
+    monkeypatch.setattr(ddt_module, "_quadratic_ranks", no_masks)
+    monkeypatch.setattr(ddt_module, "_bit_masks", no_masks)
+    assert not is_apn(f)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_is_apn_below_the_prefix_matches_the_full_table(n):
+    # q = 2 and q = 4: the prefix has no pair beyond x = 0, so it never
+    # refutes, and every path gives the full table's answer
+    ctx = create_field(n)
+    seen: Counter = Counter()
+    for support in itertools.combinations([2, 3, 5, 6, 7, 9, 11, 13, 14, 4 * ctx.order + 3], 2):
+        for c in range(1, ctx.order):
+            f = UniPoly(ctx, {support[0]: 1, support[1]: c, 1: c})
+            path = _spectrum_path(f)
+            if path == "scan":
+                assert not ddt_module._row_1_prefix_repeats(f), f
+            assert is_apn(f) == diff_spectrum(f, full=True).is_apn(), f
+            seen[path] += 1
+    assert len(seen) == 3, seen
 
 
 def test_import_builds_no_table():

@@ -364,64 +364,45 @@ def tri_mul(p: TriPoly, q: TriPoly) -> TriPoly:
     return TriPoly(p.ctx, out)
 
 
-def _form_leading_var(form: tuple[int, int, int]) -> int:
-    for v, c in enumerate(form):
-        if c:
-            return v
-    raise ValueError("zero form cannot divide")
-
-
 def exact_div_linear(p: TriPoly, form: tuple[int, int, int]) -> TriPoly:
     """Exact quotient p / (cx*x + cy*y + cz*z); NotDivisible on any remainder.
 
-    Synthetic division in the form's leading variable v over the polynomial
-    ring in the remaining two variables: writing p = sum_i v^i p_i and the
-    monic form as v + c, the quotient satisfies q_(D-1) = p_D and
-    q_(i-1) = p_i + c*q_i, with remainder p_0 + c*q_0, which must vanish.
+    One walk down the powers of the form's leading variable v, its first
+    nonzero coefficient.  p's terms are bucketed by their v-exponent, full
+    keys kept.  For the monic form v + sum t_w*w, a term c*v^e*m at level e
+    puts c*v^(e-1)*m in the quotient and c*t_w*v^(e-1)*m*w into level e - 1;
+    what is left at level 0 is the remainder, which must vanish.
     """
     ctx = p.ctx
     for c in form:
         ctx.validate(c)
-    v = _form_leading_var(form)
+    v = next((w for w, c in enumerate(form) if c), None)
+    if v is None:
+        raise ValueError("zero form cannot divide")
     inv_lead = ctx.inv(form[v])
-    # tail of the monic form: coefficients on the other variables, v-slot zero
-    tail = []
-    for w in range(3):
-        if w != v and form[w]:
-            key = [0, 0, 0]
-            key[w] = 1
-            tail.append((tuple(key), ctx.mul(form[w], inv_lead)))
-
-    if p.is_zero():
-        return TriPoly.zero(ctx)
-
+    mul = ctx.mul
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    d0, d1, d2 = units[v]  # a term's key minus its quotient term's key
+    # (key shift from a term to its t_w*w term at the level below, t_w)
+    tail = [
+        ((d0 - u0, d1 - u1, d2 - u2), mul(form[w], inv_lead))
+        for w, (u0, u1, u2) in enumerate(units)
+        if form[w] and w != v
+    ]
     levels: dict[int, dict] = {}
     for key, c in p.terms.items():
-        e = key[v]
-        flat = list(key)
-        flat[v] = 0
-        levels.setdefault(e, {})[tuple(flat)] = c
-
-    def add_scaled(dst: dict, src: dict, delta, coeff):
-        mul = ctx.mul
-        for key, c in src.items():
-            nk = (key[0] + delta[0], key[1] + delta[1], key[2] + delta[2])
-            dst[nk] = dst.get(nk, 0) ^ mul(c, coeff)
-
-    top = max(levels)
+        levels.setdefault(key[v], {})[key] = c
     quotient: dict[tuple[int, int, int], int] = {}
-    carry = levels.get(top, {})
-    for e in range(top - 1, -1, -1):
-        # carry holds q_e
-        for key, c in carry.items():
-            nk = list(key)
-            nk[v] = e
-            quotient[tuple(nk)] = c
-        nxt = dict(levels.get(e, {}))
-        for delta, coeff in tail:
-            add_scaled(nxt, carry, delta, coeff)
-        carry = {k: c for k, c in nxt.items() if c}
-    if carry:
+    for e in range(max(levels, default=0), 0, -1):
+        below = levels.setdefault(e - 1, {})
+        for (k0, k1, k2), c in levels.pop(e, {}).items():
+            if c:
+                quotient[(k0 - d0, k1 - d1, k2 - d2)] = c
+                for (a0, a1, a2), t in tail:
+                    key = (k0 - a0, k1 - a1, k2 - a2)
+                    below[key] = below.get(key, 0) ^ mul(c, t)
+    remainder = levels.get(0, {})
+    if any(remainder.values()):
         names = "xyz"
         sub = "+".join(
             (f"0x{c:x}*{names[w]}" if c != 1 else names[w])
@@ -431,10 +412,10 @@ def exact_div_linear(p: TriPoly, form: tuple[int, int, int]) -> TriPoly:
         raise NotDivisible(
             f"not divisible by {linear_form(ctx, *form).render()}: substituting "
             f"{names[v]} <- {sub or '0'} leaves a nonzero remainder "
-            f"({TriPoly(ctx, carry).render()})"
+            f"({TriPoly(ctx, remainder).render()})"
         )
     if inv_lead != 1:
-        quotient = {k: ctx.mul(c, inv_lead) for k, c in quotient.items()}
+        quotient = {k: mul(c, inv_lead) for k, c in quotient.items()}
     return TriPoly(ctx, quotient)
 
 

@@ -251,20 +251,19 @@ def _cubic_candidate(ext: FieldCtx, params: tuple[int, int, int, int]) -> TriPol
     return denominator_surface(ext) + TriPoly(ext, terms)
 
 
-def _graded_key(mono: tuple[int, int, int]) -> tuple[int, int, int]:
-    return (mono[0] + mono[1] + mono[2], mono[0], mono[1])
-
-
 def _trial_division_divides(p: TriPoly, divisor: TriPoly) -> bool:
-    # single-divisor division: leading terms stay multiplicative, so the
-    # remainder is zero exactly when divisor | p; abort at the first stray term
+    # Division by one divisor, leading terms taken in plain tuple order (lex,
+    # x > y > z).  Any monomial order works for a single divisor: the order
+    # is multiplicative, so each step cancels the current leading term and
+    # adds only smaller ones, and the remainder, zero exactly when divisor | p,
+    # is unique.  Abort at the first leading term the divisor's does not divide.
     ctx = p.ctx
-    lead = max(divisor.terms, key=_graded_key)
+    lead = max(divisor.terms)
     inv_lead = ctx.inv(divisor.terms[lead])
     rest = [(mono, coeff) for mono, coeff in divisor.terms.items() if mono != lead]
     work = dict(p.terms)
     while work:
-        mono = max(work, key=_graded_key)
+        mono = max(work)
         coeff = work.pop(mono)
         da, db, dc = mono[0] - lead[0], mono[1] - lead[1], mono[2] - lead[2]
         if da < 0 or db < 0 or dc < 0:
@@ -298,9 +297,12 @@ def cubic_divisor_check(phi: TriPoly, params: tuple[int, int, int, int]) -> bool
 def exhaustive_cubic_search(phi: TriPoly) -> list[tuple[int, int, int, int]]:
     """All parameter quadruples whose cubic divides phi, in sorted order.
 
-    Restricted to base fields with q <= 4 (the q = 4 case already walks 64^4
-    candidates and takes on the order of an hour).  Candidates are first
-    rejected through evaluation: a divisor must vanish wherever phi does not.
+    Restricted to base fields with q <= 4: the q = 4 case already walks 64^4
+    candidates.  On x^12 + x^3 over GF(4) one c1 slice of them took 25-55 s
+    (2-core x86_64, CPython 3.11, shared host), nearly all of it in the
+    probe loop, so the whole search takes half an hour or more.  Candidates
+    are first rejected through evaluation: a divisor cannot vanish where phi
+    does not.
     """
     if phi.ctx.order > 4:
         raise ConstraintViolated("exhaustive cubic search is limited to q <= 4")
@@ -381,8 +383,8 @@ def _linear_factor_witness(j: int, max_m: int = LINEAR_SCAN_MAX_M):
 def heuristic_phi_certificate(j: int) -> tuple[bool, str]:
     """Evidence, not proof, that phi_j is absolutely irreducible.
 
-    Checks absence of linear factors over GF(2^m) for every m <= 8 and
-    absence of cubic divisors of the screened shape; verdicts built on this
+    Checks absence of linear factors over GF(2^m), m <= LINEAR_SCAN_MAX_M,
+    and absence of cubic divisors of the screened shape; verdicts built on this
     certificate carry heuristic = True.  A linear factor is a form
     x + alpha*y + beta*z that divides N_j = D * phi_j without being a plane
     of D, decided from N_j's submask coefficients (_numerator_vanishes)
@@ -407,7 +409,7 @@ def heuristic_phi_certificate(j: int) -> tuple[bool, str]:
         m, form = witness
         return False, f"phi_{j} has linear factor {form} over GF(2^{m}); not absolutely irreducible"
     return True, (
-        f"phi_{j}: no linear factors over GF(2^m) for m <= 8 and no cubic "
+        f"phi_{j}: no linear factors over GF(2^m) for m <= {LINEAR_SCAN_MAX_M} and no cubic "
         "divisors of the screened shape; certified heuristically"
     )
 
@@ -552,27 +554,14 @@ def screen_exceptional(f: UniPoly) -> Verdict:
         note("even_degree_odd_term", {"degree": d, "e": e}, "no odd-degree term present")
 
     if d % 4 == 0 and (d // 4) % 4 == 3:
-        e = d // 4
-        if ctx.order <= 4:
-            found = exhaustive_cubic_search(build_phi(f))
-            if not found:
-                note(
-                    "cubic_divisor_search",
-                    {"degree": d, "e": e, "q": ctx.order},
-                    "no divisor of the cubic shape",
-                )
-                return Verdict("NotExceptional", "Thm 4", False, trace)
-            note(
-                "cubic_divisor_search",
-                {"degree": d, "e": e, "q": ctx.order},
-                f"{len(found)} cubic divisor(s) found",
-            )
+        inputs = {"degree": d, "e": d // 4, "q": ctx.order}
+        if ctx.order > 4:
+            note("cubic_divisor_search", inputs, "skipped; exhaustive search requires q <= 4")
+        elif found := exhaustive_cubic_search(build_phi(f)):
+            note("cubic_divisor_search", inputs, f"{len(found)} cubic divisor(s) found")
         else:
-            note(
-                "cubic_divisor_search",
-                {"degree": d, "e": e, "q": ctx.order},
-                "skipped; exhaustive search requires q <= 4",
-            )
+            note("cubic_divisor_search", inputs, "no divisor of the cubic shape")
+            return Verdict("NotExceptional", "Thm 4", False, trace)
 
     if gl is not None and tail:
         k = gl

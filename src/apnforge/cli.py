@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 
@@ -49,6 +50,12 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, **kwargs)
         self.example = example
 
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:  # refused by the verb's own parser, so the error shows its example
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
@@ -74,23 +81,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _field(args):
-    return create_field(args.n, getattr(args, "modulus", None))
-
-
 def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
-def _plain_lines(obj: dict) -> None:
-    for key, value in obj.items():
-        if isinstance(value, bool):
-            value = str(value).lower()
-        print(f"{key}: {value}")
+def _report(payload: dict, fmt: str) -> None:
+    """Write a flat report: sorted JSON, or "key: value" lines with booleans as JSON."""
+    if fmt == "json":
+        return _emit(payload)
+    for key, value in payload.items():
+        print(f"{key}: {json.dumps(value) if isinstance(value, bool) else value}")
 
 
 def _cmd_ddt(args) -> int:
-    ctx = _field(args)
+    ctx = create_field(args.n, args.modulus)
     f = parse_unipoly(args.poly, ctx)
     spectrum = diff_spectrum(f, full=args.full, jobs=args.jobs)
     if args.format == "json":
@@ -103,9 +107,7 @@ def _cmd_ddt(args) -> int:
         _emit(payload)
     elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["count", "frequency"])
-        for count, freq in spectrum.histogram():
-            writer.writerow([count, freq])
+        writer.writerows([("count", "frequency"), *spectrum.histogram()])
     else:
         print(f"n = {ctx.n}  modulus = 0x{ctx.modulus:x}  poly = {f.render()}")
         print(f"uniformity = {spectrum.uniformity}  apn = {str(spectrum.is_apn()).lower()}")
@@ -115,32 +117,29 @@ def _cmd_ddt(args) -> int:
     return 0
 
 
-def _cmd_apn(args) -> int:
-    ctx = _field(args)
+def _cmd_apn(args) -> dict:
+    ctx = create_field(args.n, args.modulus)
     f = parse_unipoly(args.poly, ctx)
     spectrum = diff_spectrum(f, jobs=args.jobs)
-    payload = {
+    return {
         "n": ctx.n,
         "poly": f.render(),
         "apn": spectrum.is_apn(),
         "uniformity": spectrum.uniformity,
     }
-    _plain_lines(payload) if args.format == "plain" else _emit(payload)
-    return 0
 
 
 def _cmd_phi(args) -> int:
     if (args.j is None) == (args.poly is None):
         raise ConstraintViolated("give exactly one of --j or --poly")
     if args.j is not None:
-        ctx = create_field(1 if args.n is None else args.n, args.modulus)
+        ctx = create_field(1 if args.n is None else args.n)
         surface = build_phi_j(args.j, ctx)
         payload = {"j": args.j, "surface": surface.render()}
     else:
         if args.n is None:
             raise ConstraintViolated("--poly needs --n for the coefficient field")
-        ctx = _field(args)
-        f = parse_unipoly(args.poly, ctx)
+        f = parse_unipoly(args.poly, create_field(args.n))
         surface = build_phi(f)
         payload = {"poly": f.render(), "surface": surface.render()}
     if args.format == "plain":
@@ -150,40 +149,32 @@ def _cmd_phi(args) -> int:
     return 0
 
 
-def _cmd_gold(args) -> int:
-    n = args.k if args.n is None else args.n
-    ctx = create_field(n, args.modulus)
+def _cmd_gold(args) -> dict:
+    ctx = create_field(args.k)  # the product's coefficients lie in GF(2)
     product = gold_product(args.k, ctx)
     d = (1 << args.k) + 1
-    payload = {
+    return {
         "k": args.k,
         "d": d,
         "surface": product.render(),
         "matches_monomial_surface": product == build_phi_j(d, ctx),
     }
-    _plain_lines(payload) if args.format == "plain" else _emit(payload)
-    return 0
 
 
-def _cmd_coprime(args) -> int:
+def _cmd_coprime(args) -> dict:
     formula = coprime_gold_formula(args.k, args.d) if args.d % 2 else None
     brute = coprime_bruteforce(args.k, args.d)
-    # the answer does not depend on the field; --n is only checked to contain GF(2^k)
-    if args.n is not None and create_field(args.n).n % args.k:
-        raise ConstraintViolated(f"GF(2^{args.n}) does not contain GF(2^{args.k})")
-    payload = {
+    return {
         "k": args.k,
         "d": args.d,
         "formula": formula,
         "bruteforce": brute,
         "agree": None if formula is None else formula == brute,
     }
-    _plain_lines(payload) if args.format == "plain" else _emit(payload)
-    return 0
 
 
 def _cmd_screen(args) -> int:
-    ctx = _field(args)
+    ctx = create_field(args.n, args.modulus)
     f = parse_unipoly(args.poly, ctx)
     verdict = screen_exceptional(f)
     if args.format == "plain":
@@ -197,13 +188,13 @@ def _cmd_screen(args) -> int:
     return 0
 
 
-def _cmd_points(args) -> int:
-    ctx = _field(args)
+def _cmd_points(args) -> dict:
+    ctx = create_field(args.n, args.modulus)
     f = parse_unipoly(args.poly, ctx)
     total = projective_point_count(f)
     d = f.degree()
     bound = corollary_bound(d, ctx.order)
-    payload = {
+    return {
         "n": ctx.n,
         "poly": f.render(),
         "degree": d,
@@ -211,28 +202,17 @@ def _cmd_points(args) -> int:
         "bound": bound,
         "within_bound": total <= bound,
     }
-    _plain_lines(payload) if args.format == "plain" else _emit(payload)
-    return 0
 
 
-def _cmd_audit(args) -> int:
+def _cmd_audit(args) -> dict:
     ambient = None if args.n is None else create_field(args.n)
     report = root_of_unity_audit(args.k, args.m, ambient)
-    payload = report.to_json()
-    payload["clean"] = report.clean
-    if args.format == "plain":
-        _plain_lines(
-            {k: json.dumps(v) if isinstance(v, (list, tuple)) else v for k, v in payload.items()}
-        )
-    else:
-        _emit(payload)
-    return 0
+    return {**report.to_json(), "clean": report.clean}
 
 
 def _family_rows(n: int, check: bool) -> list[dict]:
     rows = []
     for family in FAMILY_TAGS:
-        specs = []
         if family in ("gold", "kasami-welch", "welch", "niho", "inverse", "dobbertin"):
             specs = [FamilySpec(family, n, r) for r in range(1, n + 1)]
         elif family == "ekp":
@@ -270,9 +250,7 @@ def _cmd_families(args) -> int:
         _emit(rows)
     elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([row[c] for c in columns])
+        writer.writerows([columns] + [[row[c] for c in columns] for row in rows])
     else:
         print("  ".join(columns))
         for row in rows:
@@ -458,8 +436,7 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--j", type=int, default=None, help="monomial exponent")
     p.add_argument("--poly", default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--modulus", type=_hex_int, default=None)
+    p.add_argument("--n", type=int, default=None, help="coefficient field degree for --poly")
     formats(p, "plain")
     p.set_defaults(func=_cmd_phi)
 
@@ -469,8 +446,6 @@ def _build_parser() -> _Parser:
         example="apnforge gold --k 3",
     )
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, default=None, help="ambient degree (default k)")
-    p.add_argument("--modulus", type=_hex_int, default=None)
     formats(p, "json")
     p.set_defaults(func=_cmd_gold)
 
@@ -481,7 +456,6 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, default=None, help="field degree, checked to be a multiple of k")
     formats(p, "json")
     p.set_defaults(func=_cmd_coprime)
 
@@ -544,10 +518,12 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        result = args.func(args)  # an exit code, or a flat report for the one writer
+        if isinstance(result, dict):
+            _report(result, args.format)
+            result = 0
+        return result
     except BrokenPipeError:
-        import os
-
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     except (ValueError, ZeroDivisionError) as exc:  # the domain errors subclass ValueError

@@ -107,18 +107,21 @@ def _group_halves(lanes: array, t: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _block_swaps(half: int, lane: int) -> tuple[tuple[int, int], ...]:
-    """(M_j, s_j) for each bit j of a position below half, on half lanes of
-    lane bytes packed into one int: M_j fills the lanes whose position has
-    bit j clear and s_j = 2^j lanes in bits, so
-    ((hi & M_j) << s_j) | ((hi >> s_j) & M_j) re-indexes hi by p -> p ^ 2^j.
+def _lane_masks(count: int, width: int) -> tuple[int, ...]:
+    """M_j for each bit j of a position below count, on count lanes of width
+    bits packed into one int, lane p at bits p*width: M_j fills the lanes
+    whose position has bit j clear.  Each starts as one run of 2^j full
+    lanes and doubles its period until it spans the count lanes.
     """
-    swaps = []
-    for j in range(half.bit_length() - 1):
-        run = lane << j
-        pattern = (b"\xff" * run + bytes(run)) * (half >> (j + 1))
-        swaps.append((int.from_bytes(pattern, "little"), 8 * run))
-    return tuple(swaps)
+    masks = []
+    for j in range(count.bit_length() - 1):
+        run = width << j
+        mask, span = (1 << run) - 1, 2 * run
+        while span < count * width:
+            mask |= mask << span
+            span *= 2
+        masks.append(mask)
+    return tuple(masks)
 
 
 def _pair_differences(fv: list[int], a_list):
@@ -133,14 +136,16 @@ def _pair_differences(fv: list[int], a_list):
     bits above, when its first row is drawn, so an early exit builds no
     later run.  Row a = t + m joins position p of the low half to position
     p ^ m of the high half: the high half is re-indexed by one block swap
-    (_block_swaps) per bit in which m differs from the previous row's, and
-    the row is one XOR of the two, read back as bytes or as 16-bit lanes
-    through the same native array format that packed it.
+    per bit j in which m differs from the previous row's,
+    ((hi & M_j) << s) | ((hi >> s) & M_j) with s = 2^j lanes in bits and
+    M_j from _lane_masks, and the row is one XOR of the two, read back as
+    bytes or as 16-bit lanes through the same native array format that
+    packed it.
     """
     lanes = array("B" if len(fv) <= 256 else "H", fv)
     half = len(fv) >> 1
-    size = half * lanes.itemsize
-    swaps = _block_swaps(half, lanes.itemsize)
+    size, width = half * lanes.itemsize, 8 * lanes.itemsize
+    masks = _lane_masks(half, width)
     for bits, run in groupby(a_list, int.bit_length):
         t = 1 << (bits - 1)
         low, high = _group_halves(lanes, t)
@@ -149,7 +154,7 @@ def _pair_differences(fv: list[int], a_list):
             moved, m = m ^ (a - t), a - t
             while moved:
                 j = moved.bit_length() - 1
-                mask, s = swaps[j]
+                mask, s = masks[j], width << j
                 high = ((high & mask) << s) | ((high >> s) & mask)
                 moved ^= 1 << j
             row = (low ^ high).to_bytes(size, "little")
@@ -324,26 +329,6 @@ def _row_classes(f: UniPoly) -> list[tuple[int, int]]:
     return sorted((least[key], size) for key, size in Counter(keys).items())
 
 
-@lru_cache(maxsize=None)
-def _bit_masks(n: int) -> tuple[int, ...]:
-    """X_0 .. X_(n-1) as q-bit ints: bit a of X_j is bit j of a, 0 <= a < q.
-
-    Each is a repeated byte pattern (bits 0..2 inside one byte, bit j >= 3
-    as runs of 2^(j-3) zero and 0xff bytes), read in one from_bytes.
-    """
-    q = 1 << n
-    size = max(q >> 3, 1)
-    masks = []
-    for j in range(n):
-        if j < 3:
-            pattern = bytes([(0xAA, 0xCC, 0xF0)[j]]) * size
-        else:
-            run = 1 << (j - 3)
-            pattern = (bytes(run) + b"\xff" * run) * (size // (2 * run))
-        masks.append(int.from_bytes(pattern, "little") & ((1 << q) - 1))
-    return tuple(masks)
-
-
 def _bilinear_form(f: UniPoly) -> list[list[int]]:
     """form[i][j] = B(e_i, e_j), B(x, a) = f(x+a) + f(x) + f(a) + f(0), e_i = 2^i.
 
@@ -371,7 +356,9 @@ def _quadratic_ranks(form: list[list[int]]) -> bytes:
     B is GF(2)-bilinear when every exponent of f has binary weight <= 2.  So
     bit k of B(e_i, a), e_i = 2^i, is the parity of a & w_ik, w_ik the set
     of j with bit k of B(e_i, e_j) set, and the a where that bit is set form
-    one q-bit int: the XOR of the masks X_j (_bit_masks) over j in w_ik.
+    one q-bit int: the XOR of the masks X_j over j in w_ik, where bit a of
+    X_j is bit j of a: the 1-bit lanes of _lane_masks with bit j clear,
+    shifted up by 2^j.
 
     Row a's rank is that of the n images B(e_i, a).  They go into an XOR
     basis keyed by leading bit, for every a at once, each "which a" held as
@@ -385,7 +372,7 @@ def _quadratic_ranks(form: list[list[int]]) -> bytes:
     """
     n = len(form)
     q = 1 << n
-    masks = _bit_masks(n)
+    masks = [mask << (1 << j) for j, mask in enumerate(_lane_masks(q, 1))]
     pivots = [0] * n
     basis: list[list[int]] = [[] for _ in range(n)]
     for row in form:

@@ -1,7 +1,9 @@
+import argparse
 import hashlib
 import json
 import os
 import runpy
+import shlex
 import subprocess
 import sys
 import time
@@ -9,16 +11,30 @@ from pathlib import Path
 
 import pytest
 
-from apnforge.cli import run
+from apnforge.cli import _build_parser, run
 from apnforge.field import create_field
 from apnforge.poly import UniPoly, parse_unipoly
-from apnforge.screen import screen_exceptional
+from apnforge.screen import replay_trace, screen_exceptional
 
 
 def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _verb_parsers() -> dict:
+    (verbs,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return verbs.choices
+
+
+def assert_usage_error(code, out, err, verb, refused):
+    # an option the verb does not take is refused by the verb's own parser,
+    # which names it and prints the verb's example
+    assert code == 2
+    assert out == ""
+    assert f"apnforge {verb}: error: unrecognized arguments: {refused}\n" in err
+    assert err.endswith(f"example: {_verb_parsers()[verb].example}\n")
 
 
 def test_phi_monomial_plain(capsys):
@@ -83,6 +99,9 @@ def test_coprime_even_d_has_null_formula(capsys):
 )
 def test_coprime_out_of_range_exits_3(capsys, argv):
     code, out, err = invoke(capsys, "coprime", *argv)
+    if "--n" in argv:  # coprime builds no field, so it takes no --n to check against k
+        assert_usage_error(code, out, err, "coprime", "--n 3")
+        return
     assert code == 3
     assert out == ""
     assert "error:" in err
@@ -99,10 +118,30 @@ def test_coprime_answers_up_to_degree_cap(capsys, k, d, formula, brute):
     assert (payload["formula"], payload["bruteforce"]) == (formula, brute)
 
 
-def test_coprime_n_is_only_checked(capsys):
-    assert invoke(capsys, "coprime", "--k", "2", "--d", "5", "--n", "4") == invoke(
-        capsys, "coprime", "--k", "2", "--d", "5"
-    )
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coprime", "--k", "2", "--d", "5", "--n", "4"],
+        ["gold", "--k", "3", "--n", "6"],
+        ["gold", "--k", "3", "--modulus", "0xb"],
+        ["phi", "--n", "5", "--poly", "x^9+0x3*x^5+0x6*x^3", "--modulus", "0x25"],
+    ],
+    ids=["coprime-n", "gold-n", "gold-modulus", "phi-modulus"],
+)
+def test_field_free_verbs_refuse_field_options(capsys, argv):
+    # coprime's gcd builds no field, the Gold product has GF(2) coefficients
+    # and phi_f's are XOR sums of f's: no output could depend on these values
+    code, out, err = invoke(capsys, *argv)
+    assert_usage_error(code, out, err, argv[0], " ".join(argv[-2:]))
+
+
+@pytest.mark.parametrize("verb", sorted(_verb_parsers()))
+def test_usage_example_runs(capsys, verb):
+    # the example printed after a usage error must itself be a working command
+    argv = shlex.split(_verb_parsers()[verb].example)
+    assert argv[:2] == ["apnforge", verb]
+    code, _, err = invoke(capsys, *argv[1:])
+    assert code == 0, err
 
 
 def test_python_m_apnforge_runs_the_cli(capsys):
@@ -278,6 +317,23 @@ def test_screen_verb_matches_library(capsys):
     assert out.strip() == screen_exceptional(f).to_json()
 
 
+def test_screen_records_found_cubic_divisors(capsys):
+    # over GF(2) the Thm 4 search runs, and a cubic divisor of phi_f leaves
+    # the input undecided; the entry that records it must replay
+    code, out, _ = invoke(capsys, "screen", "--n", "1", "--poly", "x^12+x^3")
+    assert code == 0
+    f = parse_unipoly("x^12+x^3", create_field(1))
+    verdict = screen_exceptional(f)
+    assert out.strip() == verdict.to_json()
+    assert verdict.status == "Informational"
+    assert verdict.trace[0] == {
+        "test": "cubic_divisor_search",
+        "inputs": {"degree": 12, "e": 3, "q": 2},
+        "outcome": "1 cubic divisor(s) found",
+    }
+    assert replay_trace(f, verdict)
+
+
 def test_points_verb(capsys):
     code, out, _ = invoke(capsys, "points", "--n", "5", "--poly", "x^9+x^7")
     assert code == 0
@@ -370,6 +426,9 @@ def test_usage_error_exit_2_with_example(capsys):
 )
 def test_n_zero_is_domain_error(capsys, argv):
     code, out, err = invoke(capsys, *argv, "--n", "0")
+    if argv[0] in ("coprime", "gold"):  # no output depends on a field, so neither takes --n
+        assert_usage_error(code, out, err, argv[0], "--n 0")
+        return
     assert code == 3
     assert out == ""
     assert "n must be in 1..24, got 0" in err

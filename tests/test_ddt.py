@@ -994,7 +994,7 @@ def test_row_1_refutes_a_quadratic_input_at_n20_without_masks(monkeypatch):
     # the bit-serial oracle reads f at n + 2 points, not through the log tables
     assert _oracle_quadratic_rank(f.evaluate, n, 1) < n - 1
     monkeypatch.setattr(ddt_module, "_quadratic_ranks", no_masks)
-    monkeypatch.setattr(ddt_module, "_bit_masks", no_masks)
+    monkeypatch.setattr(ddt_module, "_lane_masks", no_masks)
     assert not is_apn(f)
 
 
@@ -1023,7 +1023,7 @@ def test_import_builds_no_table():
         f"sys.path.insert(0, {str(Path(ddt_module.__file__).parents[1])!r})\n"
         "import apnforge, apnforge.cli\n"
         "from apnforge import ddt, field\n"
-        "caches = [field.log_tables, ddt._cyclotomic_canon, ddt._bit_masks, ddt._orbit_pairs]\n"
+        "caches = [field.log_tables, ddt._cyclotomic_canon, ddt._lane_masks, ddt._orbit_pairs]\n"
         "print(json.dumps([c.cache_info().currsize for c in caches]))\n"
     )
     out = subprocess.run(

@@ -26,7 +26,7 @@ from .ddt import (
     projective_point_count,
     prop1_check,
 )
-from .field import create_field
+from .field import MAX_DEGREE, create_field
 from .phi import build_phi, build_phi_j, denominator_surface, gold_product
 from .poly import (
     ConstraintViolated,
@@ -150,6 +150,8 @@ def _cmd_phi(args) -> int:
 
 
 def _cmd_gold(args) -> dict:
+    if not 1 <= args.k <= MAX_DEGREE:
+        raise ConstraintViolated(f"k must be in 1..{MAX_DEGREE}, got {args.k}")
     ctx = create_field(args.k)  # the product's coefficients lie in GF(2)
     product = gold_product(args.k, ctx)
     d = (1 << args.k) + 1

@@ -21,7 +21,7 @@ from .field import LOG_TABLE_MAX_N, FieldCtx, _gf2_kernel, create_field, log_tab
 from .poly import DEGREE_CAP, ConstraintViolated, UniPoly
 
 SPECTRUM_MAX_N = LOG_TABLE_MAX_N  # every spectrum reads f through the log tables
-SCAN_MAX_N = 14  # a generic input at n = 14 reads every row in about 13 s on a 2-core x86_64 host
+SCAN_MAX_N = 14  # a generic input at n = 14 reads every row in 12-14 s on a 2-core x86_64 host
 FULL_MAX_N = 11  # the (a, b) table of x^9+x^7 peaks at 132 MB for n = 11
 PROP1_MAX_N = 7
 
@@ -164,9 +164,29 @@ def _pair_differences(fv: list[int], a_list):
 def _pair_histogram(pairs: Counter, q: int) -> tuple[tuple[int, int], ...]:
     """One row's histogram, ((count, #b with that count), ...) ascending, for
     the row given as value -> #pairs.  At most q/2 values occur, so count 0
-    always has some b."""
-    hist = sorted((2 * c, m) for c, m in Counter(pairs.values()).items())
-    return ((0, q - len(pairs)), *hist)
+    always has some b.
+
+    The pair counts are packed as one byte string, and bytes.count finds
+    how many values take c pairs for c = 1, 2, ... until every value is
+    counted, so no Python loop runs over the values and nothing is sorted.
+    A row where some value takes 256 pairs or more, as b = 0 does in every
+    row of x^(q-1) from n = 10 on, does not fit in bytes and counts its
+    counts with a Counter.
+    """
+    hist = [(0, q - len(pairs))]
+    try:
+        packed = bytes(pairs.values())
+    except ValueError:
+        hist += sorted((2 * c, m) for c, m in Counter(pairs.values()).items())
+        return tuple(hist)
+    left, c = len(packed), 0
+    while left:
+        c += 1
+        m = packed.count(c)
+        if m:
+            hist.append((2 * c, m))
+            left -= m
+    return tuple(hist)
 
 
 @lru_cache(maxsize=None)
@@ -502,9 +522,12 @@ def diff_spectrum(f: UniPoly, full: bool = False, jobs: int = 1) -> DiffSpectrum
         e_i + e_j (_bilinear_form), with no value table;
       - scan (any other f, and every full table): a row from its q/2 pairs
         {x, x + a}, each counted once, as one XOR of two packed ints whose
-        8- or 16-bit lanes hold f's values (_pair_differences), capped at
-        n <= SCAN_MAX_N, and a full table at n <= FULL_MAX_N; the other
-        paths go up to SPECTRUM_MAX_N.  Row a has the histogram of row 1 of
+        8- or 16-bit lanes hold f's values (_pair_differences); one Counter
+        of the row's values gives each value's pair count, and the counts,
+        packed as bytes, give the row's histogram by bytes.count
+        (_pair_histogram).  The scan is capped at n <= SCAN_MAX_N, and a
+        full table at n <= FULL_MAX_N; the other paths go up to
+        SPECTRUM_MAX_N.  Row a has the histogram of row 1 of
         f(a y), which scaling, additive terms and squaring every coefficient
         keep, so the scan reads one row per class of a (_row_classes) and
         weighs it by the class size: about q/n rows for a binomial, all

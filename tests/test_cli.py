@@ -204,6 +204,14 @@ def test_gold_verb(capsys):
     assert payload["surface"] == "x^2+x*y+x*z+y^2+y*z+z^2"
 
 
+@pytest.mark.parametrize("k", ["0", "25", "-1"])
+def test_gold_k_out_of_range_exits_3(capsys, k):
+    code, out, err = invoke(capsys, "gold", "--k", k)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: k must be in 1..24, got {k}\n"
+
+
 def test_gold_refuses_over_budget_before_multiplying(capsys, monkeypatch):
     # the product equals phi_1025, about 5*10^5 terms, above PHI_WORK_BUDGET
     def unreachable(*args, **kwargs):

@@ -623,6 +623,56 @@ def test_scan_square_sums_above_n9_match_the_spectrum():
     )
 
 
+@pytest.mark.parametrize("n", [9, 10])
+def test_pair_histogram_matches_the_oracle_at_the_byte_edges(n):
+    # counts of 1, 255 (the largest byte), 256 (past it) and q/2 (one value
+    # takes every pair); each row holds q/2 pairs
+    q = 1 << n
+    half = q >> 1
+    rng = random.Random(n)
+    shapes = [[1] * half, [half], [255] + [1] * (half - 255), [256] + [1] * (half - 256)]
+    shapes.append([255, 255] + [2] * ((half - 510) // 2) if half > 510 else [255, 1])
+    mixed = []
+    while sum(mixed) < half:
+        mixed.append(min(rng.choice([1, 1, 2, 3, 5, 255]), half - sum(mixed)))
+    shapes.append(mixed)
+    for counts in shapes:
+        assert sum(counts) == half, counts
+        values = rng.sample(range(q), len(counts))
+        pairs = Counter(dict(zip(values, counts)))
+        per_b = {b: 2 * c for b, c in pairs.items()}
+        assert ddt_module._pair_histogram(pairs, q) == _row_histogram(per_b, q), counts
+
+
+@pytest.mark.parametrize("n", [9, 10])  # the zero difference takes 255 and 511 pairs
+def test_full_table_of_x_to_q_minus_1_matches_the_power_path(n):
+    ctx = create_field(n)
+    q = ctx.order
+    f = UniPoly(ctx, {q - 1: 1})
+    full = diff_spectrum(f, full=True)
+    assert full.rows == diff_spectrum(f).rows
+    assert full.uniformity == q - 2
+
+
+def test_scanned_rows_square_sum_matches_affine_parts_at_n5_to_n10():
+    # the spectrum's rows count through _pair_histogram, _affine_parts
+    # through its own Counter of each row
+    rng = random.Random(29)
+    for n in range(5, 11):  # 16-bit lanes from n = 9
+        ctx = create_field(n)
+        q = ctx.order
+        checked = 0
+        while checked < 4:
+            exponents = [rng.choice([7, 11, 13, 14, 19, 21, 25]), *rng.sample(range(1, 4 * q), 2)]
+            f = UniPoly(ctx, {e: rng.randrange(1, q) for e in exponents})
+            if len(f.terms) != 3 or _spectrum_path(f) != "scan":
+                continue
+            rows = diff_spectrum(f).rows
+            square_sum = sum(size * sum(c * c * m for c, m in hist) for hist, size in rows.items())
+            assert ddt_module._affine_parts(f)[0] == square_sum, f
+            checked += 1
+
+
 def test_row_classes_cover_every_difference_once():
     # _row_classes serves the scan, whose inputs have two or more exponents
     # reaching phi_f
